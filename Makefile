@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test deadpkg race bench bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
-# check is the CI gate: vet, build, full test suite, then a short race
-# pass over the packages that share caches/pools across goroutines or
-# mutate shared controller/registry state.
-check:
+# check is the CI gate: the orphan-package check, vet, build, full test
+# suite, then a short race pass over the packages that share caches/pools
+# across goroutines or mutate shared controller/registry state.
+check: deadpkg
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -15,6 +15,14 @@ check:
 
 build:
 	$(GO) build ./...
+
+# Orphan-package gate: every fftgrad/internal/... package must be imported
+# by at least one of the module's non-test packages.
+deadpkg:
+	@imports="$$($(GO) list -f '{{range .Imports}} {{.}} {{end}}' ./...)"; dead=0; \
+	for p in $$($(GO) list ./internal/...); do \
+		case "$$imports" in *" $$p "*) ;; *) echo "deadpkg: $$p has no non-test importer"; dead=1;; esac; \
+	done; exit $$dead
 
 vet:
 	$(GO) vet ./...

@@ -125,35 +125,6 @@ func TestBucketedExchangeGate(t *testing.T) {
 	}
 }
 
-// TestBucketedFaultFreeMatchesBarrier: the fault path's sequential
-// bucket rounds (seq = iter·B+b) perform the same per-bucket arithmetic
-// as the barrier path's overlapped pipeline, so with no chaos the two
-// runs are bit-identical — overlap is scheduling, not numerics.
-func TestBucketedFaultFreeMatchesBarrier(t *testing.T) {
-	mk := func() Config {
-		cfg := blobCfg(85)
-		cfg.NewCompressor = func() compress.Compressor {
-			return feedback.New(compress.NewFFT(0.5))
-		}
-		cfg.Collective = &collective.Config{BucketBytes: 1024}
-		return cfg
-	}
-	base, err := Train(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mk()
-	cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
-	got, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epochsEqual(t, "fault-free-bucketed", base, got)
-	if s := got.Fault.Cluster; s.Suspicions != 0 || s.Rejoins != 0 {
-		t.Fatalf("clean bucketed run recorded faults: %+v", s)
-	}
-}
-
 // TestPartitionedSparseConverges: MiCRO-style disjoint-partition
 // selection on the sparse-allreduce path must converge within 2 points
 // of the unpartitioned sparse run — the rotation drains every region's

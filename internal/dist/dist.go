@@ -10,6 +10,14 @@
 // update. Parameters are re-broadcast from rank 0 every SyncEvery
 // iterations to eliminate floating-point drift.
 //
+// One iteration pipeline runs every rank (loop.go) over one of two
+// exchangers: the barrier collectives (barrier.go: ring, hierarchical or
+// tree allgather, bucketed compute/comm overlap, sparse allreduce) or,
+// with Config.Fault, the failure-aware mesh (mesh.go: degradation
+// policies, crash and rejoin, bounded staleness, gossip, elastic joins).
+// The two change how messages and parameters travel, never the
+// arithmetic: a fault-free mesh run is bit-identical to the barrier run.
+//
 // Compute and compression are measured on the actual CPU; communication is
 // priced through a netsim fabric model at the real message sizes — the
 // substitution that stands in for the paper's 8-GPU InfiniBand testbed
@@ -17,23 +25,22 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fftgrad/internal/adapt"
 	"fftgrad/internal/checkpoint"
+	"fftgrad/internal/cluster"
 	"fftgrad/internal/collective"
-	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
 	"fftgrad/internal/guard"
 	"fftgrad/internal/nn"
 	"fftgrad/internal/obs"
 	"fftgrad/internal/optim"
-	"fftgrad/internal/pack"
 	"fftgrad/internal/sparsify"
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/trace"
@@ -227,7 +234,7 @@ type IterTrace struct {
 	// useful for modeled-vs-measured reconciliation, not a fabric stand-in.
 	CommMeasuredS float64
 	MsgBytes      int
-	Theta         float64
+	Theta         float64 // drop ratio in effect, as in EpochStats
 	// Compressed is false when the adapt controller bypassed the
 	// compressor and the iteration shipped raw FP32.
 	Compressed bool
@@ -238,8 +245,11 @@ type EpochStats struct {
 	Epoch     int
 	TrainLoss float64 // mean rank-0 shard loss over the epoch
 	TestAcc   float64 // top-1 accuracy on the test set (rank 0)
-	Theta     float64 // drop ratio in effect
-	LR        float64
+	// Theta is the drop ratio in effect: the ThetaSchedule's value (as
+	// adjusted by Adapt), else the codec's own θ (SparseTheta on the
+	// sparse path), else 0 — the codec has no drop ratio.
+	Theta float64
+	LR    float64
 }
 
 // Result aggregates a full run.
@@ -392,32 +402,94 @@ func (c *Config) finalState(res *Result, net *nn.Network, sgd *optim.SGD) {
 	res.Final = checkpoint.Capture(net, sgd, done/int64(c.ItersPerEpoch), done-1)
 }
 
+// validate rejects option combinations no exchanger implements.
+func (c *Config) validate() error {
+	if c.Guard != nil && c.UseSparseAllreduce {
+		return fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
+	}
+	if col := c.Collective; col != nil {
+		if err := col.Validate(); err != nil {
+			return fmt.Errorf("dist: %w", err)
+		}
+		if col.BucketBytes > 0 && c.UseSparseAllreduce {
+			return fmt.Errorf("dist: BucketBytes applies to the compressed-message exchange; disable UseSparseAllreduce")
+		}
+		if col.Strategy == collective.Gossip {
+			if c.Fault == nil {
+				return fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
+			}
+			if col.BucketBytes > 0 {
+				return fmt.Errorf("dist: gossip exchanges whole gradients with ring neighbors; BucketBytes does not apply")
+			}
+		}
+	}
+	f := c.Fault
+	if f == nil {
+		return nil
+	}
+	if c.UseSparseAllreduce {
+		return fmt.Errorf("dist: Fault and UseSparseAllreduce are mutually exclusive (the ring collective has no failure-aware variant yet)")
+	}
+	if c.MeasureAlpha {
+		return fmt.Errorf("dist: MeasureAlpha requires the barrier-based exchange; disable Fault")
+	}
+	if f.Staleness < 0 {
+		return fmt.Errorf("dist: negative Fault.Staleness %d", f.Staleness)
+	}
+	if l := f.StalenessDiscount; l < 0 || l > 1 {
+		return fmt.Errorf("dist: Fault.StalenessDiscount %v outside (0,1]", l)
+	}
+	for _, at := range f.ElasticJoins {
+		if at < 0 {
+			return fmt.Errorf("dist: negative ElasticJoins iteration %d", at)
+		}
+	}
+	return nil
+}
+
+// instrument registers the run's shared observability on the telemetry
+// registry, after the exchanger's transport registered its own.
+func (c *Config) instrument() {
+	if c.Telemetry == nil {
+		return
+	}
+	c.Tracer.Instrument(c.Telemetry)
+	c.Profiler.Instrument(c.Telemetry)
+	c.stageTimer.Register(c.Telemetry)
+	if c.Adapt != nil {
+		c.Adapt.Register(c.Telemetry)
+	}
+	if c.guardStats != nil {
+		c.guardStats.Register(c.Telemetry)
+	}
+}
+
+// goRank runs fn on its own goroutine under wg. A panic dumps the
+// timeline before it propagates: the flight recording is the postmortem
+// for exactly this.
+func (c *Config) goRank(wg *sync.WaitGroup, rank int, fn func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				c.Flight.Trigger(rank, trace.ReasonPanic)
+				panic(r)
+			}
+		}()
+		fn()
+	}()
+}
+
 // Train runs BSP data-parallel training and returns rank-0's statistics.
 func Train(c Config) (*Result, error) {
 	if c.Model == nil || c.Train == nil {
 		return nil, fmt.Errorf("dist: Model and Train dataset are required")
 	}
 	cfg := c.withDefaults()
-	if cfg.Guard != nil && cfg.UseSparseAllreduce {
-		return nil, fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Collective != nil {
-		if err := cfg.Collective.Validate(); err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		if cfg.Collective.BucketBytes > 0 && cfg.UseSparseAllreduce {
-			return nil, fmt.Errorf("dist: BucketBytes applies to the compressed-message exchange; disable UseSparseAllreduce")
-		}
-		if cfg.Collective.Strategy == collective.Gossip && cfg.Fault == nil {
-			return nil, fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
-		}
-	}
-	if cfg.Fault != nil {
-		return trainFault(cfg)
-	}
-	p := cfg.Workers
-	cluster := comm.NewCluster(p)
-
 	// One stage timer is shared by every worker's compressor and the
 	// exchange loop; the adapt controller reads it, the registry (if any)
 	// exposes it.
@@ -426,562 +498,46 @@ func Train(c Config) (*Result, error) {
 	} else if cfg.Telemetry != nil {
 		cfg.stageTimer = telemetry.NewStageTimer()
 	}
-	if cfg.Telemetry != nil {
-		cluster.Instrument(cfg.Telemetry)
-		cfg.Tracer.Instrument(cfg.Telemetry)
-		cfg.Profiler.Instrument(cfg.Telemetry)
-		cfg.stageTimer.Register(cfg.Telemetry)
-		if cfg.Adapt != nil {
-			cfg.Adapt.Register(cfg.Telemetry)
-		}
-		if cfg.guardStats != nil {
-			cfg.guardStats.Register(cfg.Telemetry)
-		}
-	}
 
-	results := make([]*Result, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for rank := 0; rank < p; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// Dump the timeline before the panic propagates: the
-					// flight recording is the postmortem for exactly this.
-					cfg.Flight.Trigger(rank, trace.ReasonPanic)
-					panic(r)
-				}
-			}()
-			results[rank], errs[rank] = runWorker(cfg, cluster.Rank(rank))
-		}(rank)
+	var results []*Result
+	var errs []error
+	var report *FaultReport
+	if cfg.Fault != nil {
+		results, errs, report = runMesh(&cfg)
+	} else {
+		results, errs = runBarrier(&cfg)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for rank, err := range errs {
+		if err == nil {
+			continue
 		}
+		if report != nil && rank != 0 && lostWorker(err) {
+			report.LostWorkers++
+			continue
+		}
+		// Terminal failure (quorum loss, fail-fast, stall, or losing the
+		// bookkeeping root): dump the timeline before surfacing the error —
+		// the last N iterations are exactly the postmortem evidence.
+		if errors.Is(err, cluster.ErrNoQuorum) {
+			cfg.Flight.Trigger(rank, trace.ReasonNoQuorum)
+		} else {
+			cfg.Flight.Trigger(rank, trace.ReasonFailure)
+		}
+		return nil, err
 	}
+	res := results[0]
+	res.Fault = report
 	if cfg.Telemetry != nil {
-		results[0].Telemetry = cfg.Telemetry.Snapshot()
+		res.Telemetry = cfg.Telemetry.Snapshot()
 	}
 	if cfg.guardStats != nil {
 		rep := cfg.guardStats.Report()
-		results[0].Guard = &rep
-	}
-	return results[0], nil
-}
-
-func runWorker(cfg Config, cm *comm.Comm) (*Result, error) {
-	rank := cm.RankID()
-	p := cm.P()
-	isRoot := rank == 0
-
-	// tc is this rank's timeline track (nil when tracing is off — every
-	// record call degrades to a pointer check). The compressor's internal
-	// stage timings reach the track through a sink-carrying handle of the
-	// shared stage timer, so Tm/Tf/Ts/Tp spans get rank and iteration
-	// attribution without the compressors knowing about tracing.
-	tc := cfg.Tracer.Rank(rank)
-	wst := cfg.stageTimer.WithSink(tc.StageSink())
-	cm.AttachTrace(tc)
-	oc := cfg.Profiler.Rank(rank)
-
-	net := cfg.Model(cfg.Seed) // identical init on every rank
-	n := net.NumParams()
-	shard := cfg.Train.Shard(rank, p)
-	it := data.NewIterator(shard.Len(), cfg.Batch, cfg.Seed+int64(rank)*7919)
-	sgd := optim.NewSGD(cfg.LR.LR(0), cfg.Momentum, n)
-	if cfg.Resume != nil {
-		if err := cfg.Resume.Apply(net, sgd); err != nil {
-			return nil, fmt.Errorf("dist: rank %d resume: %w", rank, err)
+		if report != nil {
+			rep.CorruptFrames = report.Cluster.CorruptFrames
 		}
-	}
-	gs := newGuardState(cfg, rank, n, tc)
-
-	// colCfg is the (defaulted) exchange strategy; ex reschedules the
-	// collectives accordingly (a nil Config is the flat ring, so every
-	// pre-existing path is untouched byte for byte).
-	colCfg := collective.Config{}.WithDefaults()
-	if cfg.Collective != nil {
-		colCfg = *cfg.Collective
-	}
-	ex := collective.New(cfg.Collective, cm)
-	bs := newBucketState(cfg, gs, wst, tc, ex, n, p, rank)
-
-	// The monolithic compressor; with bucketing each bucket owns its own
-	// instance instead (per-bucket CRC frames and residual slices).
-	var comp compress.Compressor
-	if bs == nil {
-		comp = gs.wrap(cfg.NewCompressor())
-		compress.Instrument(comp, wst)
-	}
-	var pt *collective.Partitioner
-	if cfg.UseSparseAllreduce && colCfg.Partitioned {
-		pt = collective.NewPartitioner(p, rank, n)
-	}
-
-	grad := make([]float32, n)
-	avg := make([]float32, n)
-	recon := make([]float32, n)
-	delta := make([]float32, n)
-	rawAvg := make([]float32, n)
-	loss := nn.SoftmaxCE{}
-
-	res := &Result{GradSize: n}
-	var totalMsgBytes float64
-	var lossSum float64
-	var lossCount int
-	totalIters := cfg.Epochs * cfg.ItersPerEpoch
-
-	fp32 := compress.FP32{}
-	// wireFP32 is the FP32 codec as it appears on the wire (framed under
-	// guard): the adapt bypass and the parameter sync go through it, so
-	// every exchanged message shares one frame format. MeasureAlpha's
-	// side-channel allgather keeps the raw fp32 — it is a measurement,
-	// not part of the guarded data plane.
-	wireFP32 := gs.wrap(fp32)
-
-	// Guard bookkeeping: forceSync triggers an off-cycle parameter
-	// re-broadcast (after drift or rollback); the retained ring seeds
-	// with the initial state so a rollback always has a target.
-	forceSync := false
-	gs.retain(checkpoint.Capture(net, sgd, 0, -1))
-
-	// Compressed messages are double-buffered across iterations: Allgather
-	// returns aliases of the senders' buffers, and peers keep reading
-	// iteration i's message while decompressing — but every rank must
-	// finish that before it can enter Allgather(i+1) (its first barrier).
-	// So by the time this rank compresses iteration i+1 into the buffer
-	// last sent at i-1, no reader of that buffer remains. Two buffers,
-	// rotated by iteration parity, make the steady state allocation-free.
-	var msgBufs [2][]byte
-	var rawBufs [2][]byte  // MeasureAlpha raw-fp32 messages, same rotation
-	var alphaTmp []float32 // MeasureAlpha decode scratch (root only)
-	var syncFlat []float32 // parameter re-broadcast staging
-	var syncPayload []byte
-
-	// liveRatio is the compression ratio of this rank's most recent
-	// compressed message, fed to the adapt controller (which remembers it
-	// across bypassed stretches so re-enablement can be judged).
-	var liveRatio float64
-
-	for iter := 0; iter < totalIters; iter++ {
-		if cfg.haltCheck(iter) {
-			res.Halted = true
-			break
-		}
-		epoch := iter / cfg.ItersPerEpoch
-		sgd.LR = cfg.LR.LR(epoch)
-		tc.SetIter(uint64(iter))
-		var tIter time.Time
-		if tc != nil {
-			tIter = time.Now()
-		}
-		var obsStart int64
-		if oc != nil {
-			obsStart = oc.NowNs()
-		}
-		theta := math.NaN()
-		if cfg.ThetaSchedule != nil {
-			theta = cfg.ThetaSchedule.Theta(epoch)
-			if bs != nil {
-				bs.setTheta(theta)
-			} else if ts, ok := comp.(compress.ThetaSetter); ok {
-				ts.SetTheta(theta)
-			}
-		}
-
-		// --- local gradient ---------------------------------------------
-		t0 := time.Now()
-		x, labels := shard.Batch(it.Next())
-		net.ZeroGrads()
-		logits := net.Forward(x, true)
-		l, dl := loss.Loss(logits, labels)
-		net.Backward(dl)
-		net.FlattenGrads(grad)
-		if tc != nil {
-			tScrub := time.Now()
-			gs.scrubGrad(grad)
-			tc.SpanSince(trace.OpScrub, int64(n), tScrub)
-		} else {
-			gs.scrubGrad(grad)
-		}
-		computeT := time.Since(t0)
-		tc.SpanTimed(trace.OpCompute, int64(cfg.Batch), t0, computeT)
-		if isRoot {
-			lossSum += l
-			lossCount++
-			if cfg.SampleGradients > 0 && iter%cfg.SampleGradients == 0 {
-				res.GradSamples = append(res.GradSamples, append([]float32(nil), grad...))
-			}
-		}
-
-		// --- adaptive compression decision ---------------------------------
-		// All ranks consult the controller before building any message; the
-		// per-iteration decision cache guarantees they agree on the wire
-		// format even though telemetry keeps moving between calls.
-		iterComp := comp
-		compressed := true
-		if cfg.Adapt != nil && !cfg.UseSparseAllreduce {
-			adTheta := theta
-			if math.IsNaN(adTheta) {
-				adTheta = 0 // no schedule: suppress θ suggestions
-			}
-			d := cfg.Adapt.DecideIter(iter, liveRatio, adTheta)
-			if !d.Compress {
-				iterComp = wireFP32
-				compressed = false
-				tc.Instant(trace.OpBypass, 0)
-			} else if d.ThetaAdjusted {
-				if bs != nil {
-					bs.setTheta(d.Theta)
-					theta = d.Theta
-				} else if ts, ok := comp.(compress.ThetaSetter); ok {
-					ts.SetTheta(d.Theta)
-					theta = d.Theta
-				}
-			}
-		}
-		if gs.driftDue(iter) {
-			if bs != nil {
-				bs.attachFingerprint(net, compressed)
-			} else {
-				gs.attachFingerprint(net, iterComp)
-			}
-		}
-
-		// --- compress + exchange + average ---------------------------------
-		var compressT, decompressT time.Duration
-		var exchangeS float64
-		var msgBytes, maxBytes int
-		var exchEndNs int64 // barrier-anchored exchange-end instant (obs)
-		inv := 1 / float32(p)
-		if cfg.UseSparseAllreduce {
-			sparseTheta := cfg.SparseTheta
-			if cfg.ThetaSchedule != nil {
-				sparseTheta = theta
-			}
-			t0 = time.Now()
-			var sp *pack.Sparse
-			if pt != nil {
-				// MiCRO-style: select only inside this rank's rotating
-				// disjoint partition; everything outside banks in the
-				// partitioner's residual until ownership rotates around.
-				sp = pt.Select(grad, sparseTheta, iter)
-			} else {
-				work := append(grad[:0:0], grad...)
-				mask := sparsify.TopKSpatial(work, sparseTheta)
-				sp = pack.PackMask(work, mask)
-			}
-			compressT = time.Since(t0)
-			tc.SpanTimed(trace.OpCompress, int64(n), t0, compressT)
-
-			tEx := time.Now()
-			reduced, moved := ex.SparseAllreduce(sp)
-			exchangeD := time.Since(tEx)
-			exchangeS = exchangeD.Seconds()
-			tc.SpanTimed(trace.OpExchange, int64(moved), tEx, exchangeD)
-			if oc != nil {
-				exchEndNs = oc.NowNs()
-			}
-
-			t0 = time.Now()
-			reduced.Unpack(avg)
-			for i := range avg {
-				avg[i] *= inv
-			}
-			decompressT = time.Since(t0)
-			tc.SpanTimed(trace.OpDecompress, int64(n), t0, decompressT)
-			// Per-rank sent volume normalized to an equivalent allgather
-			// message so ratios stay comparable across exchange modes.
-			msgBytes = moved / (p - 1 + boolToInt(p == 1))
-			maxBytes = msgBytes
-		} else if bs != nil {
-			if err := bs.exchange(iter, grad, avg, recon, compressed); err != nil {
-				return nil, fmt.Errorf("dist: rank %d: %w", rank, err)
-			}
-			// The bucketed pipeline interleaves exchange and decompress;
-			// the instant after the last bucket's round stands in for the
-			// barrier anchor.
-			if oc != nil {
-				exchEndNs = oc.NowNs()
-			}
-			compressT, decompressT = bs.compressT, bs.decompressT
-			exchangeS = bs.exchangeS
-			msgBytes, maxBytes = bs.msgBytes, bs.maxBytes
-			if compressed && msgBytes > 0 {
-				liveRatio = float64(4*n) / float64(msgBytes)
-			}
-			if bs.driftHit {
-				forceSync = true
-			}
-		} else {
-			t0 = time.Now()
-			msg, err := compress.AppendCompress(iterComp, msgBufs[iter&1][:0], grad)
-			if err != nil {
-				return nil, fmt.Errorf("dist: rank %d compress: %w", rank, err)
-			}
-			msgBufs[iter&1] = msg
-			compressT = time.Since(t0)
-			msgBytes = len(msg)
-			tc.SpanTimed(trace.OpCompress, int64(msgBytes), t0, compressT)
-			if compressed && msgBytes > 0 {
-				liveRatio = float64(4*n) / float64(msgBytes)
-			}
-
-			tEx := time.Now()
-			msgs := ex.Allgather(msg)
-			exchangeD := time.Since(tEx)
-			exchangeS = exchangeD.Seconds()
-			tc.SpanTimed(trace.OpExchange, int64(msgBytes), tEx, exchangeD)
-			if oc != nil {
-				exchEndNs = oc.NowNs()
-			}
-			for _, m := range msgs {
-				if len(m) > maxBytes {
-					maxBytes = len(m)
-				}
-			}
-
-			t0 = time.Now()
-			for i := range avg {
-				avg[i] = 0
-			}
-			for _, m := range msgs {
-				if err := compress.DecompressInto(iterComp, recon, m); err != nil {
-					return nil, fmt.Errorf("dist: rank %d decompress: %w", rank, err)
-				}
-				for i, v := range recon {
-					avg[i] += v
-				}
-			}
-			for i := range avg {
-				avg[i] *= inv
-			}
-			decompressT = time.Since(t0)
-			tc.SpanTimed(trace.OpDecompress, int64(p), t0, decompressT)
-			if gs.driftDue(iter) && gs.checkDrift(msgs, nil) {
-				forceSync = true
-			}
-		}
-
-		// --- exchange-rate observation (the live Tcomm of Eq. 2) -----------
-		// With a Fabric, the modeled collective time prices the exchange (the
-		// in-process barrier wall time is not a fabric); without one, the
-		// measured wall time is the real thing (TCP or actual deployment).
-		// The bucketed pipeline observed per bucket already.
-		if st := cfg.stageTimer; st != nil && msgBytes > 0 && bs == nil {
-			if cfg.Fabric != nil {
-				if isRoot {
-					st.ObserveStage(telemetry.StageComm, maxBytes, colCfg.ModelAllgather(cfg.Fabric, p, maxBytes))
-				}
-			} else {
-				st.ObserveStage(telemetry.StageComm, msgBytes, exchangeS)
-			}
-		}
-
-		// --- α measurement (off the timed path) ---------------------------
-		if cfg.MeasureAlpha {
-			rawMsg, err := fp32.AppendCompress(rawBufs[iter&1][:0], grad)
-			if err != nil {
-				return nil, err
-			}
-			rawBufs[iter&1] = rawMsg
-			raws := cm.Allgather(rawMsg)
-			if isRoot {
-				for i := range rawAvg {
-					rawAvg[i] = 0
-				}
-				if alphaTmp == nil {
-					alphaTmp = make([]float32, n)
-				}
-				for _, m := range raws {
-					if err := fp32.DecompressInto(alphaTmp, m); err != nil {
-						return nil, err
-					}
-					for i, v := range alphaTmp {
-						rawAvg[i] += v
-					}
-				}
-				for i := range rawAvg {
-					rawAvg[i] *= inv
-				}
-				var num, den float64
-				for i := range rawAvg {
-					d := float64(rawAvg[i] - avg[i])
-					num += d * d
-					den += float64(rawAvg[i]) * float64(rawAvg[i])
-				}
-				alpha := 0.0
-				if den > 0 {
-					alpha = math.Sqrt(num / den)
-				}
-				res.Alpha = append(res.Alpha, alpha)
-			} else {
-				cm.Barrier()
-			}
-			if isRoot {
-				cm.Barrier()
-			}
-		}
-
-		// --- numerical health + update -------------------------------------
-		// The detector sees the post-average norm (identical on every
-		// rank), so all ranks take the same escalation rung in lockstep.
-		t0 = time.Now()
-		switch gs.observe(avg) {
-		case guard.ActionRollback:
-			gs.rollback(net, sgd)
-			forceSync = true
-			if isRoot {
-				// The decision is global and identical on every rank; one
-				// dump (root's) captures all tracks.
-				cfg.Flight.Trigger(rank, trace.ReasonRollback)
-			}
-		case guard.ActionSkip:
-			// Poisoned round: no update.
-		default:
-			sgd.Delta(delta, avg)
-			net.AddToParams(delta)
-		}
-		updateT := time.Since(t0)
-		tc.SpanTimed(trace.OpUpdate, int64(n), t0, updateT)
-
-		// --- periodic parameter re-broadcast -------------------------------
-		var syncBytes int
-		var syncD time.Duration
-		if (iter+1)%cfg.SyncEvery == 0 || forceSync {
-			var tSync time.Time
-			if tc != nil || oc != nil {
-				tSync = time.Now()
-			}
-			if syncFlat == nil {
-				syncFlat = make([]float32, n)
-			}
-			var payload []byte
-			if isRoot {
-				// Reusing the payload buffer across syncs is safe: every
-				// non-root finishes decoding it before entering the next
-				// collective's barrier, at least one of which separates
-				// consecutive syncs.
-				flat := net.GetParams(syncFlat)
-				var err error
-				payload, err = compress.AppendCompress(wireFP32, syncPayload[:0], flat)
-				if err != nil {
-					return nil, err
-				}
-				syncPayload = payload
-			}
-			got := ex.Broadcast(payload, 0)
-			if !isRoot {
-				if err := compress.DecompressInto(wireFP32, syncFlat, got); err != nil {
-					return nil, err
-				}
-				net.SetParams(syncFlat)
-			}
-			syncBytes = n * 4
-			forceSync = false
-			tc.SpanSince(trace.OpSync, int64(syncBytes), tSync)
-			if oc != nil {
-				syncD = time.Since(tSync)
-			}
-		}
-		gs.maybeRetain(iter, epoch, net, sgd)
-		tc.SpanSince(trace.OpIteration, int64(msgBytes), tIter)
-		if oc != nil {
-			oc.Commit(obs.IterRecord{
-				Iter:         int64(iter),
-				StartNs:      obsStart,
-				ExchEndNs:    exchEndNs,
-				EndNs:        oc.NowNs(),
-				ComputeNs:    computeT.Nanoseconds(),
-				CompressNs:   compressT.Nanoseconds(),
-				ExchangeNs:   int64(exchangeS * 1e9),
-				DecompressNs: decompressT.Nanoseconds(),
-				UpdateNs:     updateT.Nanoseconds(),
-				SyncNs:       syncD.Nanoseconds(),
-				MsgBytes:     int64(msgBytes),
-				BlamePeer:    -1, // barrier path: skew reconstructed in obs
-			})
-		}
-
-		// --- bookkeeping (rank 0) ------------------------------------------
-		if isRoot {
-			res.Iterations++
-			totalMsgBytes += float64(msgBytes)
-			res.ComputeSeconds += computeT.Seconds() + updateT.Seconds()
-			res.CompressSeconds += compressT.Seconds() + decompressT.Seconds()
-			res.CommMeasuredSeconds += exchangeS
-			if !compressed {
-				res.BypassedIterations++
-			}
-			var commS float64
-			if cfg.Fabric != nil {
-				if bs != nil {
-					commS = bs.modelComm()
-				} else {
-					commS = colCfg.ModelAllgather(cfg.Fabric, p, maxBytes)
-				}
-				if syncBytes > 0 {
-					commS += colCfg.ModelBroadcast(cfg.Fabric, p, syncBytes)
-				}
-				res.CommSeconds += commS
-			}
-			if cfg.Trace {
-				res.Trace = append(res.Trace, IterTrace{
-					Iter:          iter,
-					ComputeS:      computeT.Seconds() + updateT.Seconds(),
-					CompressS:     compressT.Seconds() + decompressT.Seconds(),
-					CommS:         commS,
-					CommMeasuredS: exchangeS,
-					MsgBytes:      msgBytes,
-					Theta:         theta,
-					Compressed:    compressed,
-				})
-			}
-		}
-
-		// --- epoch boundary -------------------------------------------------
-		if (iter+1)%cfg.ItersPerEpoch == 0 && isRoot {
-			stats := EpochStats{
-				Epoch:     epoch,
-				TrainLoss: lossSum / float64(lossCount),
-				LR:        sgd.LR,
-				Theta:     theta,
-			}
-			lossSum, lossCount = 0, 0
-			if cfg.Test != nil {
-				stats.TestAcc = evaluate(net, cfg.Test, cfg.Batch)
-			}
-			res.Epochs = append(res.Epochs, stats)
-			if cfg.OnEpoch != nil {
-				cfg.OnEpoch(stats)
-			}
-			if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && (epoch+1)%cfg.CheckpointEvery == 0 {
-				cfg.OnCheckpoint(checkpoint.Capture(net, sgd, int64(epoch), int64(iter)))
-			}
-		}
-	}
-
-	if isRoot && res.Iterations > 0 {
-		res.AvgMsgBytes = totalMsgBytes / float64(res.Iterations)
-		res.CompressionRatio = float64(n*4) / res.AvgMsgBytes
-	}
-	if isRoot {
-		cfg.finalState(res, net, sgd)
+		res.Guard = &rep
 	}
 	return res, nil
-}
-
-// boolToInt avoids a divide-by-zero in the single-worker volume
-// normalization (moved is 0 there anyway).
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // evaluate computes top-1 accuracy over the full test set in eval mode.

@@ -7,6 +7,8 @@ import (
 	"fftgrad/internal/checkpoint"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
+	"fftgrad/internal/feedback"
+	"fftgrad/internal/guard"
 	"fftgrad/internal/models"
 	"fftgrad/internal/netsim"
 	"fftgrad/internal/nn"
@@ -336,5 +338,45 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed run should keep improving: %.4f vs %.4f",
 			second.Epochs[len(second.Epochs)-1].TrainLoss,
 			first.Epochs[len(first.Epochs)-1].TrainLoss)
+	}
+}
+
+// TestThetaReportsDropRatioInEffect: without a θ schedule the epoch table
+// and the iteration trace report the codec's own drop ratio, read through
+// the guard frame and the error-feedback wrapper, on both exchangers; a
+// codec with no drop ratio reports 0, never NaN.
+func TestThetaReportsDropRatioInEffect(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec func() compress.Compressor
+		want  float64
+	}{
+		{"feedback-fft", func() compress.Compressor { return feedback.New(compress.NewFFT(0.85)) }, 0.85},
+		{"fp32", func() compress.Compressor { return compress.FP32{} }, 0},
+	} {
+		for _, mesh := range []bool{false, true} {
+			cfg := blobCfg(43)
+			cfg.Epochs = 2
+			cfg.Trace = true
+			cfg.NewCompressor = tc.codec
+			cfg.Guard = &guard.Config{CRC: true}
+			if mesh {
+				cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
+			}
+			res, err := Train(cfg)
+			if err != nil {
+				t.Fatalf("%s mesh=%v: %v", tc.name, mesh, err)
+			}
+			for _, ep := range res.Epochs {
+				if ep.Theta != tc.want {
+					t.Fatalf("%s mesh=%v: epoch %d θ %v, want %v", tc.name, mesh, ep.Epoch, ep.Theta, tc.want)
+				}
+			}
+			for _, it := range res.Trace {
+				if it.Theta != tc.want {
+					t.Fatalf("%s mesh=%v: iteration %d θ %v, want %v", tc.name, mesh, it.Iter, it.Theta, tc.want)
+				}
+			}
+		}
 	}
 }

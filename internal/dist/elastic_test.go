@@ -249,3 +249,36 @@ func TestElasticJoinWorkerAccounting(t *testing.T) {
 		t.Fatalf("Tracks() = %d, want %d", got, cfg.Workers+2)
 	}
 }
+
+// TestStaleWeightRules pins the mesh's stale-contribution fold rules
+// (λ = 0.5, nb seqs per iteration, d seqs stale).
+func TestStaleWeightRules(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		gossip  bool
+		nb      int
+		d       uint64
+		bounded bool
+		w       float32
+		ok      bool
+	}{
+		{"strict unbucketed folds at 1", false, 1, 1, false, 1, true},
+		{"strict unbucketed d=0 folds at 1", false, 1, 0, false, 1, true},
+		{"strict bucketed drops", false, 4, 4, false, 0, false},
+		{"strict bucketed other bucket drops", false, 4, 1, false, 0, false},
+		{"bounded unbucketed d=0 keeps 1", false, 1, 0, true, 1, true},
+		{"bounded unbucketed damps λ^d", false, 1, 3, true, 0.125, true},
+		{"bounded bucketed damps λ^(d/nb)", false, 4, 8, true, 0.25, true},
+		{"bounded bucketed d=0 drops", false, 4, 0, true, 0, false},
+		{"bounded bucketed other bucket drops", false, 4, 6, true, 0, false},
+		{"gossip gradient stream damps", true, 2, 2, false, 0.5, true},
+		{"gossip bounded gradient stream damps", true, 2, 4, true, 0.25, true},
+		{"gossip parameter stream skipped", true, 2, 3, false, 0, false},
+		{"gossip d=0 skipped", true, 2, 0, true, 0, false},
+	} {
+		w, ok := staleWeight(tc.gossip, tc.nb, tc.d, tc.bounded, 0.5)
+		if w != tc.w || ok != tc.ok {
+			t.Errorf("%s: staleWeight = (%v, %v), want (%v, %v)", tc.name, w, ok, tc.w, tc.ok)
+		}
+	}
+}

@@ -7,9 +7,12 @@ import (
 
 	"fftgrad/internal/chaos"
 	"fftgrad/internal/cluster"
+	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/feedback"
+	"fftgrad/internal/obs"
+	"fftgrad/internal/sparsify"
 	"fftgrad/internal/telemetry"
 )
 
@@ -28,33 +31,63 @@ func faultClusterCfg() cluster.Config {
 }
 
 // TestFaultFreeMatchesBarrierExactly: with no chaos and no failures the
-// failure-aware exchange is just a different transport for the same
-// arithmetic — the run must be bit-identical to the barrier-based path.
+// failure-aware mesh is just a different transport for the same
+// arithmetic. Every row runs the same config over the barrier
+// collectives and over the mesh, and the two must be bit-identical —
+// per-bucket rounds, guard framing, θ schedules and the profiler
+// included.
 func TestFaultFreeMatchesBarrierExactly(t *testing.T) {
-	base, err := Train(blobCfg(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := blobCfg(21)
-	cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
-	got, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Epochs) != len(base.Epochs) {
-		t.Fatalf("epoch count %d vs %d", len(got.Epochs), len(base.Epochs))
-	}
-	for i := range base.Epochs {
-		if got.Epochs[i].TrainLoss != base.Epochs[i].TrainLoss ||
-			got.Epochs[i].TestAcc != base.Epochs[i].TestAcc {
-			t.Fatalf("epoch %d diverged: fault %+v vs barrier %+v", i, got.Epochs[i], base.Epochs[i])
-		}
-	}
-	if got.Fault == nil {
-		t.Fatal("fault report missing")
-	}
-	if s := got.Fault.Cluster; s.Suspicions != 0 || s.DegradedIterations != 0 || s.Rejoins != 0 {
-		t.Fatalf("clean run recorded faults: %+v", s)
+	fbFFT := func() compress.Compressor { return feedback.New(compress.NewFFT(0.5)) }
+	for _, tc := range []struct {
+		name string
+		seed int64
+		mod  func(*Config)
+	}{
+		{"fp32", 21, func(*Config) {}},
+		{"bucketed-feedback-fft", 85, func(c *Config) {
+			c.NewCompressor = fbFFT
+			c.Collective = &collective.Config{BucketBytes: 1024}
+		}},
+		{"guard-feedback-fft", 86, func(c *Config) {
+			c.NewCompressor = fbFFT
+			c.Guard = fullGuard()
+		}},
+		{"theta-schedule", 87, func(c *Config) {
+			c.NewCompressor = fbFFT
+			c.ThetaSchedule = sparsify.StepDrop{Initial: 0.9, Final: 0.5, DropEpoch: 1}
+		}},
+		{"profiler", 88, func(c *Config) {
+			c.Profiler = obs.New(c.Workers, 256)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() Config {
+				cfg := blobCfg(tc.seed)
+				tc.mod(&cfg)
+				return cfg
+			}
+			base, err := Train(mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := mk()
+			cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
+			got, err := Train(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epochsEqual(t, tc.name, base, got)
+			if got.Iterations != base.Iterations || got.AvgMsgBytes != base.AvgMsgBytes {
+				t.Fatalf("iterations %d/%d, avg msg bytes %v/%v (mesh/barrier)",
+					got.Iterations, base.Iterations, got.AvgMsgBytes, base.AvgMsgBytes)
+			}
+			if got.Fault == nil {
+				t.Fatal("fault report missing")
+			}
+			if s := got.Fault.Cluster; s.Suspicions != 0 || s.DegradedIterations != 0 || s.Rejoins != 0 {
+				t.Fatalf("clean run recorded faults: %+v", s)
+			}
+		})
 	}
 }
 

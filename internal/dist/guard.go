@@ -39,7 +39,7 @@ type guardState struct {
 	ring []*checkpoint.State
 }
 
-func newGuardState(cfg Config, rank, n int, tc *trace.Ctx) *guardState {
+func newGuardState(cfg *Config, rank, n int, tc *trace.Ctx) *guardState {
 	if cfg.Guard == nil {
 		return nil
 	}
@@ -60,15 +60,6 @@ func (gs *guardState) wrap(c compress.Compressor) compress.Compressor {
 		return c
 	}
 	return guard.NewFramed(c, gs.cfg.CRC)
-}
-
-// verifier returns the wire integrity check for the cluster receiver,
-// or nil when frames are not in use.
-func (gs *guardState) verifier(cfg Config) func([]byte) error {
-	if cfg.Guard == nil || !cfg.Guard.Framing() {
-		return nil
-	}
-	return guard.Verify
 }
 
 // scrubGrad runs the pre-compress scrub in place. Under ScrubSkip a

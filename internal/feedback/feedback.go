@@ -45,6 +45,14 @@ func (c *Compressor) SetTheta(theta float64) {
 	}
 }
 
+// Theta reports the inner compressor's drop ratio, 0 when it has none.
+func (c *Compressor) Theta() float64 {
+	if t, ok := c.inner.(interface{ Theta() float64 }); ok {
+		return t.Theta()
+	}
+	return 0
+}
+
 // Compress adds the accumulated residual to grad, compresses the sum with
 // the inner compressor, and retains what the compression dropped as the
 // next residual. grad is not modified.

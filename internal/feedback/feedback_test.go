@@ -244,3 +244,30 @@ func BenchmarkFeedbackOverhead(b *testing.B) {
 		}
 	}
 }
+
+// Both wrappers report the inner codec's drop ratio next to SetTheta, and
+// 0 for a codec that has none.
+func TestThetaForwarding(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    interface {
+			SetTheta(float64)
+			Theta() float64
+		}
+		want float64
+	}{
+		{"feedback-fft", New(compress.NewFFT(0.7)), 0.7},
+		{"momentum-fft", NewMomentumCorrected(compress.NewFFT(0.7), 0.9), 0.7},
+		{"feedback-fp32", New(compress.FP32{}), 0},
+	} {
+		if got := tc.c.Theta(); got != tc.want {
+			t.Errorf("%s: Theta %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.want != 0 {
+			tc.c.SetTheta(0.4)
+			if got := tc.c.Theta(); got != 0.4 {
+				t.Errorf("%s: Theta %v after SetTheta(0.4)", tc.name, got)
+			}
+		}
+	}
+}

@@ -39,6 +39,14 @@ func (c *MomentumCorrected) SetTheta(theta float64) {
 	}
 }
 
+// Theta reports the inner compressor's drop ratio, 0 when it has none.
+func (c *MomentumCorrected) Theta() float64 {
+	if t, ok := c.inner.(interface{ Theta() float64 }); ok {
+		return t.Theta()
+	}
+	return 0
+}
+
 // Compress implements compress.Compressor. grad is not modified.
 func (c *MomentumCorrected) Compress(grad []float32) ([]byte, error) {
 	n := len(grad)

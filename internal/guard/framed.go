@@ -16,8 +16,8 @@ type Inner interface {
 }
 
 // Optional inner capabilities, forwarded when present. These mirror
-// compress.Appender, compress.IntoDecompressor, compress.ThetaSetter,
-// compress.Instrumentable and feedback's residual sink.
+// compress.Appender, compress.IntoDecompressor, compress.ThetaSetter and
+// its Theta getter, compress.Instrumentable and feedback's residual sink.
 type (
 	appender interface {
 		AppendCompress(dst []byte, grad []float32) ([]byte, error)
@@ -26,6 +26,7 @@ type (
 		DecompressInto(dst []float32, msg []byte) error
 	}
 	thetaSetter    interface{ SetTheta(theta float64) }
+	thetaGetter    interface{ Theta() float64 }
 	instrumentable interface {
 		Instrument(st *telemetry.StageTimer)
 	}
@@ -124,6 +125,14 @@ func (f *Framed) SetTheta(theta float64) {
 	if t, ok := f.inner.(thetaSetter); ok {
 		t.SetTheta(theta)
 	}
+}
+
+// Theta reports the inner compressor's drop ratio, 0 when it has none.
+func (f *Framed) Theta() float64 {
+	if t, ok := f.inner.(thetaGetter); ok {
+		return t.Theta()
+	}
+	return 0
 }
 
 // Instrument forwards stage-timer instrumentation to the inner

@@ -310,7 +310,10 @@ func (p *Profiler) sweep(final bool) {
 		}
 		p.fold(&prof)
 	}
-	p.ledger.swept = limit
+	// Never move the cursor back: a rank whose first record lands after
+	// an earlier sweep lowers the common frontier below iterations that
+	// sweep already folded, and re-sweeping them would count them twice.
+	p.ledger.swept = max(p.ledger.swept, limit)
 }
 
 // fold accumulates one iteration profile into the ledger and feeds the

@@ -351,9 +351,9 @@ func ChunkBounds(c, size, n int) (lo, hi int) {
 }
 
 // Chunks returns the boundaries that ForGrain would use for n elements,
-// as a slice of [lo,hi) pairs. Useful for two-pass algorithms (e.g. the
-// parallel prefix sum in internal/prefix) that need the same partition in
-// both passes. Allocation-sensitive callers should use Plan instead.
+// as a slice of [lo,hi) pairs. Useful for two-pass algorithms that need
+// the same partition in both passes. Allocation-sensitive callers should
+// use Plan instead.
 func Chunks(n, grain int) [][2]int {
 	chunks, size := Plan(n, grain)
 	if chunks == 0 {

@@ -174,9 +174,9 @@ func (s *Server) start(j *job) {
 			Tracer:    j.tracer,
 			Profiler:  j.prof,
 			OnEpoch: func(st dist.EpochStats) {
-				// encoding/json refuses NaN/Inf (e.g. Theta on the
-				// fp32 path reports NaN for "no drop ratio in effect");
-				// scrub so one odd float can't kill the event stream.
+				// encoding/json refuses NaN/Inf (e.g. the loss of a
+				// diverged run); scrub so one odd float can't kill the
+				// event stream.
 				stCopy := st
 				for _, f := range []*float64{&stCopy.TrainLoss, &stCopy.TestAcc, &stCopy.Theta, &stCopy.LR} {
 					if math.IsNaN(*f) || math.IsInf(*f, 0) {
