@@ -104,15 +104,18 @@ trace-smoke:
 # critical-path blame, zero-alloc commit), then a 4-rank chaos run with a
 # permanent 15ms straggler on rank 2 — the exported blame ledger must
 # name rank 2 and charge it at least half of all cross-rank blocked time,
-# and the merged multi-process timeline must cover every rank.
+# the run must print the per-iteration breakdown table built from the
+# profiler's records, and the merged multi-process timeline must cover
+# every rank.
 obs-smoke:
-	$(GO) test -run 'TestOffsetsUnderSkew|TestCriticalPathBlame|TestFaultPathBlame|TestCommitZeroAlloc|TestProfilerBitIdentical|TestProfilerBlamesChaosStraggler' -v ./internal/obs/ ./internal/dist/
+	$(GO) test -run 'TestOffsetsUnderSkew|TestCriticalPathBlame|TestFaultPathBlame|TestCommitZeroAlloc|TestProfilerBitIdentical|TestProfilerBlamesChaosStraggler|TestIterRecordFoldsIntoResult' -v ./internal/obs/ ./internal/dist/
 	$(GO) build -o obs-smoke-bin ./cmd/trainer
 	./obs-smoke-bin -model mlp -epochs 2 -workers 4 -fault-aware \
 		-chaos-straggle 2 -chaos-straggle-by 15ms \
 		-profile-out obs-smoke.json -trace-out obs-smoke-trace.json | tee obs-smoke.log; \
 	RC=$$?; [ $$RC -eq 0 ] && \
 	grep -q "profile: top blamed rank 2" obs-smoke.log && \
+	grep -q "per-iteration breakdown (first 10):" obs-smoke.log && \
 	python3 -c "import json; \
 		doc=json.load(open('obs-smoke.json')); \
 		b={e['rank']: e for e in doc['blame']}; \

@@ -60,7 +60,6 @@ func main() {
 	lr := flag.Float64("lr", 0.03, "learning rate")
 	seed := flag.Int64("seed", 1, "random seed")
 	alpha := flag.Bool("alpha", false, "measure Assumption 3.2 alpha each iteration")
-	trace := flag.Bool("trace", false, "print a per-iteration timing breakdown")
 	sparseAR := flag.Bool("sparse-allreduce", false, "exchange via the sparse ring allreduce instead of allgather (uses -theta, ignores -method)")
 	collectiveStrategy := flag.String("collective", "ring", "exchange strategy: ring | hier | tree | gossip (gossip implies -fault-aware)")
 	groupSize := flag.Int("group-size", 4, "with -collective hier, ranks per group (leader fan-in)")
@@ -70,7 +69,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "record a per-iteration distributed timeline and write it here as Chrome trace_event JSON (open in ui.perfetto.dev)")
 	traceIters := flag.Int("trace-iters", 256, "with -trace-out, iterations of history the per-rank trace ring retains")
 	pprofOn := flag.Bool("pprof", false, "with -metrics-addr, also serve net/http/pprof under /debug/pprof/")
-	profileOn := flag.Bool("profile", false, "enable the cross-rank iteration profiler: critical paths, straggler blame, anomaly-triggered capture")
+	profileOn := flag.Bool("profile", false, "enable the cross-rank iteration profiler: critical paths, straggler blame, anomaly-triggered capture, and a per-iteration breakdown")
 	profileOut := flag.String("profile-out", "", "write the end-of-run iteration profile here as JSON (implies -profile)")
 	topView := flag.Bool("top", false, "live per-rank blame / critical-path table on stderr while training runs (implies -profile)")
 	adaptive := flag.Bool("adapt", false, "let the online perf-model controller bypass compression when it cannot win on the fabric")
@@ -155,7 +154,6 @@ func main() {
 		NewCompressor: newCompressor,
 		Fabric:        netsim.CometCluster(),
 		MeasureAlpha:  *alpha,
-		Trace:         *trace,
 	}
 	if *sparseAR {
 		cfg.UseSparseAllreduce = true
@@ -450,13 +448,8 @@ func main() {
 	fmt.Print(t.String())
 	fmt.Printf("\ngradient size: %d floats (%.2f MB)\n", res.GradSize, float64(res.GradSize*4)/(1<<20))
 	fmt.Printf("compression ratio: %.2fx (avg message %.1f KB)\n", res.CompressionRatio, res.AvgMsgBytes/1024)
-	fmt.Printf("measured compute %.2fs, compress %.2fs; modeled comm %.4fs (measured exchange %.4fs)\n",
+	fmt.Printf("measured compute %.2fs, compress %.2fs; modeled comm %.4fs (exchange wait+copy %.4fs)\n",
 		res.ComputeSeconds, res.CompressSeconds, res.CommSeconds, res.CommMeasuredSeconds)
-	var rec netsim.Reconciliation
-	rec.Add(res.CommSeconds, res.CommMeasuredSeconds)
-	if rec.Samples() > 0 {
-		fmt.Printf("fabric reconciliation: in-process exchange ran %.2fx the modeled fabric time\n", rec.Ratio())
-	}
 	if cfg.Adapt != nil {
 		d := cfg.Adapt.Last()
 		fmt.Printf("adapt: bypassed %d iterations, %d flips; last k_min %.2f at Tcomm %.1f MB/s (ratio %.2f)\n",
@@ -495,14 +488,12 @@ func main() {
 		fmt.Printf("alpha (Assumption 3.2): median %.3f, p95 %.3f, max %.3f\n",
 			e.Quantile(0.5), e.Quantile(0.95), e.Quantile(1))
 	}
-	if *trace && len(res.Trace) > 0 {
+	if recs := prof.Records(0); len(recs) > 0 {
 		fmt.Println("\nper-iteration breakdown (first 10):")
-		tt := &stats.Table{Headers: []string{"iter", "compute ms", "codec ms", "comm ms", "msg KB"}}
-		for i, tr := range res.Trace {
-			if i >= 10 {
-				break
-			}
-			tt.AddRow(tr.Iter, tr.ComputeS*1e3, tr.CompressS*1e3, tr.CommS*1e3, float64(tr.MsgBytes)/1024)
+		tt := &stats.Table{Headers: []string{"iter", "compute ms", "codec ms", "exchange ms", "msg KB"}}
+		for _, r := range recs[:min(10, len(recs))] {
+			tt.AddRow(r.Iter, float64(r.ComputeNs+r.UpdateNs)/1e6, float64(r.CompressNs+r.DecompressNs)/1e6,
+				float64(r.ExchangeNs)/1e6, float64(r.MsgBytes)/1024)
 		}
 		fmt.Print(tt.String())
 	}

@@ -279,35 +279,6 @@ func TestSparseAllreduceThetaSchedule(t *testing.T) {
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
-	cfg := blobCfg(33)
-	cfg.Epochs = 1
-	cfg.Trace = true
-	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != res.Iterations {
-		t.Fatalf("trace entries %d != iterations %d", len(res.Trace), res.Iterations)
-	}
-	var compute, compress, comm float64
-	for i, tr := range res.Trace {
-		if tr.Iter != i {
-			t.Fatalf("trace %d has iter %d", i, tr.Iter)
-		}
-		if tr.ComputeS <= 0 || tr.CompressS <= 0 || tr.MsgBytes <= 0 {
-			t.Fatalf("trace %d incomplete: %+v", i, tr)
-		}
-		compute += tr.ComputeS
-		compress += tr.CompressS
-		comm += tr.CommS
-	}
-	if compute != res.ComputeSeconds || compress != res.CompressSeconds || comm != res.CommSeconds {
-		t.Fatalf("trace totals must match result totals")
-	}
-}
-
 // Checkpoint + Resume: training that checkpoints at epoch 1 and resumes
 // must continue improving from the restored state.
 func TestCheckpointResume(t *testing.T) {
@@ -342,9 +313,9 @@ func TestCheckpointResume(t *testing.T) {
 }
 
 // TestThetaReportsDropRatioInEffect: without a θ schedule the epoch table
-// and the iteration trace report the codec's own drop ratio, read through
-// the guard frame and the error-feedback wrapper, on both exchangers; a
-// codec with no drop ratio reports 0, never NaN.
+// reports the codec's own drop ratio, read through the guard frame and
+// the error-feedback wrapper, on both exchangers; a codec with no drop
+// ratio reports 0, never NaN.
 func TestThetaReportsDropRatioInEffect(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -357,7 +328,6 @@ func TestThetaReportsDropRatioInEffect(t *testing.T) {
 		for _, mesh := range []bool{false, true} {
 			cfg := blobCfg(43)
 			cfg.Epochs = 2
-			cfg.Trace = true
 			cfg.NewCompressor = tc.codec
 			cfg.Guard = &guard.Config{CRC: true}
 			if mesh {
@@ -370,11 +340,6 @@ func TestThetaReportsDropRatioInEffect(t *testing.T) {
 			for _, ep := range res.Epochs {
 				if ep.Theta != tc.want {
 					t.Fatalf("%s mesh=%v: epoch %d θ %v, want %v", tc.name, mesh, ep.Epoch, ep.Theta, tc.want)
-				}
-			}
-			for _, it := range res.Trace {
-				if it.Theta != tc.want {
-					t.Fatalf("%s mesh=%v: iteration %d θ %v, want %v", tc.name, mesh, it.Iter, it.Theta, tc.want)
 				}
 			}
 		}

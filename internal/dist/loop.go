@@ -332,10 +332,9 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 		if tc != nil {
 			tIter = time.Now()
 		}
-		var obsStart int64
-		if oc != nil {
-			obsStart = oc.NowNs()
-		}
+		// The iteration's one record: rank 0 folds it into Result, the
+		// profiler (when set) keeps it.
+		rec := obs.IterRecord{Iter: int64(iter), StartNs: oc.NowNs()}
 		r := &w.round
 		*r = round{iter: iter, compressed: true, blamePeer: -1, rejoinAt: -1}
 		if cfg.ThetaSchedule != nil {
@@ -359,6 +358,7 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 			gs.scrubGrad(grad)
 		}
 		computeT := time.Since(t0)
+		rec.ComputeNs = computeT.Nanoseconds()
 		tc.SpanTimed(trace.OpCompute, int64(cfg.Batch), t0, computeT)
 		if w.isRoot {
 			lossSum += l
@@ -402,17 +402,14 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 			iter, forceSync = r.rejoinAt, true
 			continue
 		}
-		var compressT, decompressT time.Duration
-		var exchangeS float64
-		var msgBytes int
 		for _, s := range w.stats {
-			compressT += s.cmpD
-			decompressT += s.decD
-			exchangeS += s.exD.Seconds()
-			msgBytes += s.size
+			rec.CompressNs += s.cmpD.Nanoseconds()
+			rec.DecompressNs += s.decD.Nanoseconds()
+			rec.ExchangeNs += s.exD.Nanoseconds()
+			rec.MsgBytes += int64(s.size)
 		}
-		if r.compressed && msgBytes > 0 {
-			liveRatio = float64(4*n) / float64(msgBytes)
+		if r.compressed && rec.MsgBytes > 0 {
+			liveRatio = float64(4*n) / float64(rec.MsgBytes)
 		}
 		forceSync = forceSync || r.driftHit
 
@@ -452,6 +449,7 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 			net.AddToParams(w.delta)
 		}
 		updateT := time.Since(t0)
+		rec.UpdateNs = updateT.Nanoseconds()
 		tc.SpanTimed(trace.OpUpdate, int64(n), t0, updateT)
 
 		// --- parameter re-sync -------------------------------------------
@@ -459,12 +457,8 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 		// membership change: degraded rounds, rejoins and elastic joins
 		// leave replicas apart, and the re-sync bounds that drift window.
 		var syncBytes int
-		var syncD time.Duration
 		if (iter+1)%cfg.SyncEvery == 0 || forceSync || r.epochChanged {
-			var tSync time.Time
-			if tc != nil || oc != nil {
-				tSync = time.Now()
-			}
+			tSync := time.Now()
 			sb, err := ex.sync(w, r)
 			if err != nil {
 				return nil, err
@@ -474,24 +468,19 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 				continue
 			}
 			syncBytes, forceSync = sb, false
+			rec.SyncNs = time.Since(tSync).Nanoseconds()
 			tc.SpanSince(trace.OpSync, int64(syncBytes), tSync)
-			if oc != nil {
-				syncD = time.Since(tSync)
-			}
 		}
 
 		// --- bookkeeping (rank 0) ----------------------------------------
 		if w.isRoot {
-			res.Iterations++
-			totalMsgBytes += float64(msgBytes)
-			res.ComputeSeconds += computeT.Seconds() + updateT.Seconds()
-			res.CompressSeconds += compressT.Seconds() + decompressT.Seconds()
-			res.CommMeasuredSeconds += exchangeS
+			res.add(&rec)
+			totalMsgBytes += float64(rec.MsgBytes)
 			if !r.compressed {
 				res.BypassedIterations++
 			}
-			var commS float64
 			if cfg.Fabric != nil {
+				var commS float64
 				// The sum of per-bucket collectives at the observed max
 				// message sizes: overlap hides codec time behind flight, a
 				// wall-time effect, not a communication-volume one.
@@ -508,18 +497,6 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 					commS += w.col.ModelBroadcast(cfg.Fabric, w.p, syncBytes)
 				}
 				res.CommSeconds += commS
-			}
-			if cfg.Trace {
-				res.Trace = append(res.Trace, IterTrace{
-					Iter:          iter,
-					ComputeS:      computeT.Seconds() + updateT.Seconds(),
-					CompressS:     compressT.Seconds() + decompressT.Seconds(),
-					CommS:         commS,
-					CommMeasuredS: exchangeS,
-					MsgBytes:      msgBytes,
-					Theta:         r.theta,
-					Compressed:    r.compressed,
-				})
 			}
 		}
 
@@ -547,24 +524,10 @@ func (w *worker) run(ex exchanger, iter int, forceSync bool) (*Result, error) {
 			ex.epochEnd(w, iter, epoch)
 		}
 		gs.maybeRetain(iter, epoch, net, sgd)
-		tc.SpanSince(trace.OpIteration, int64(msgBytes), tIter)
-		if oc != nil {
-			oc.Commit(obs.IterRecord{
-				Iter:         int64(iter),
-				StartNs:      obsStart,
-				ExchEndNs:    r.exchEndNs,
-				EndNs:        oc.NowNs(),
-				ComputeNs:    computeT.Nanoseconds(),
-				CompressNs:   compressT.Nanoseconds(),
-				ExchangeNs:   int64(exchangeS * 1e9),
-				DecompressNs: decompressT.Nanoseconds(),
-				UpdateNs:     updateT.Nanoseconds(),
-				SyncNs:       syncD.Nanoseconds(),
-				MsgBytes:     int64(msgBytes),
-				BlamePeer:    r.blamePeer,
-				BlameWaitNs:  r.blameWait,
-			})
-		}
+		tc.SpanSince(trace.OpIteration, rec.MsgBytes, tIter)
+		rec.ExchEndNs, rec.EndNs = r.exchEndNs, oc.NowNs()
+		rec.BlamePeer, rec.BlameWaitNs = r.blamePeer, r.blameWait
+		oc.Commit(rec)
 		iter++
 	}
 

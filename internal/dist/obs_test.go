@@ -6,6 +6,7 @@ import (
 
 	"fftgrad/internal/chaos"
 	"fftgrad/internal/cluster"
+	"fftgrad/internal/compress"
 	"fftgrad/internal/obs"
 )
 
@@ -92,5 +93,46 @@ func TestProfilerBlamesChaosStraggler(t *testing.T) {
 	if frac := float64(blamed) / float64(s.TotalBlockedNs); frac < 0.5 {
 		t.Fatalf("straggled rank %d holds %.0f%% of blame, want >= 50%% (ledger: %+v)",
 			straggler, 100*frac, s.Blame)
+	}
+}
+
+// TestIterRecordFoldsIntoResult: on both exchangers rank 0 commits one
+// obs.IterRecord per iteration, in iteration order, with the stage terms
+// populated, and Result's measured totals are exactly those records
+// folded: compute+update, compress+decompress, and the exchange.
+func TestIterRecordFoldsIntoResult(t *testing.T) {
+	for _, mesh := range []bool{false, true} {
+		cfg := blobCfg(33)
+		cfg.Epochs = 1
+		cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
+		if mesh {
+			cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
+		}
+		prof := obs.New(cfg.Workers, 1024)
+		cfg.Profiler = prof
+		res, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("mesh=%v: %v", mesh, err)
+		}
+		recs := prof.Records(0)
+		if len(recs) != res.Iterations {
+			t.Fatalf("mesh=%v: %d records for %d iterations", mesh, len(recs), res.Iterations)
+		}
+		var compute, codec, exchange float64
+		for i, r := range recs {
+			if r.Iter != int64(i) {
+				t.Fatalf("mesh=%v: record %d has iter %d", mesh, i, r.Iter)
+			}
+			if r.ComputeNs <= 0 || r.CompressNs <= 0 || r.MsgBytes <= 0 {
+				t.Fatalf("mesh=%v: record %d incomplete: %+v", mesh, i, r)
+			}
+			compute += float64(r.ComputeNs+r.UpdateNs) / 1e9
+			codec += float64(r.CompressNs+r.DecompressNs) / 1e9
+			exchange += float64(r.ExchangeNs) / 1e9
+		}
+		if compute != res.ComputeSeconds || codec != res.CompressSeconds || exchange != res.CommMeasuredSeconds {
+			t.Fatalf("mesh=%v: folded records (%v, %v, %v) != result (%v, %v, %v)", mesh,
+				compute, codec, exchange, res.ComputeSeconds, res.CompressSeconds, res.CommMeasuredSeconds)
+		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"fftgrad/internal/telemetry"
+	"fftgrad/internal/trace"
 )
 
 // IterRecord is one rank's accounting of one training iteration. All
@@ -65,58 +66,14 @@ type IterRecord struct {
 	BlameWaitNs int64 `json:"blame_wait_ns"`
 }
 
-// Field indices of the seqlock slot, mirroring IterRecord.
-const (
-	fIter = iota
-	fStart
-	fExchEnd
-	fEnd
-	fCompute
-	fCompress
-	fExchange
-	fDecompress
-	fUpdate
-	fSync
-	fMsgBytes
-	fBlamePeer
-	fBlameWait
-	nFields
-)
+// recordWords is an IterRecord's width in its rank's trace.Ring.
+const recordWords = 13
 
-// pslot is one seqlock-protected record slot (same protocol as the trace
-// ring: invalidate stamp, store fields, republish; readers retry on a
-// moved stamp and never see a torn record).
-type pslot struct {
-	stamp atomic.Uint64 // 0 = empty/in-flight; else claim index + 1
-	f     [nFields]atomic.Int64
-}
-
-// pring is one rank's record buffer. Only that rank's worker goroutine
-// writes it; analysis goroutines read it through the seqlock.
-type pring struct {
-	pos   atomic.Uint64
-	mask  uint64
-	slots []pslot
-}
-
-func (r *pring) store(rec *IterRecord) {
-	idx := r.pos.Add(1) - 1
-	s := &r.slots[idx&r.mask]
-	s.stamp.Store(0)
-	s.f[fIter].Store(rec.Iter)
-	s.f[fStart].Store(rec.StartNs)
-	s.f[fExchEnd].Store(rec.ExchEndNs)
-	s.f[fEnd].Store(rec.EndNs)
-	s.f[fCompute].Store(rec.ComputeNs)
-	s.f[fCompress].Store(rec.CompressNs)
-	s.f[fExchange].Store(rec.ExchangeNs)
-	s.f[fDecompress].Store(rec.DecompressNs)
-	s.f[fUpdate].Store(rec.UpdateNs)
-	s.f[fSync].Store(rec.SyncNs)
-	s.f[fMsgBytes].Store(rec.MsgBytes)
-	s.f[fBlamePeer].Store(rec.BlamePeer)
-	s.f[fBlameWait].Store(rec.BlameWaitNs)
-	s.stamp.Store(idx + 1)
+// words lays rec out for the ring, in field declaration order.
+func (rec *IterRecord) words() [recordWords]int64 {
+	return [recordWords]int64{rec.Iter, rec.StartNs, rec.ExchEndNs, rec.EndNs,
+		rec.ComputeNs, rec.CompressNs, rec.ExchangeNs, rec.DecompressNs, rec.UpdateNs, rec.SyncNs,
+		rec.MsgBytes, rec.BlamePeer, rec.BlameWaitNs}
 }
 
 // DefaultIterWindow is the per-rank record capacity New selects when
@@ -124,10 +81,11 @@ func (r *pring) store(rec *IterRecord) {
 // rolling ledger without unbounded memory.
 const DefaultIterWindow = 4096
 
-// Profiler owns one record ring per rank plus the analysis state. The
-// zero value is not usable; a nil *Profiler is valid and records nothing.
+// Profiler owns one record ring per rank (the seqlock trace.Ring the
+// tracer records its events into) plus the analysis state. The zero
+// value is not usable; a nil *Profiler is valid and records nothing.
 type Profiler struct {
-	rings []pring
+	rings []*trace.Ring
 	now   []func() int64 // per-rank clock; test/netsim-skew overridable
 
 	// Anomaly engine state, one cell per rank, each touched only by its
@@ -160,20 +118,15 @@ func New(ranks, perIter int) *Profiler {
 	if perIter <= 0 {
 		perIter = DefaultIterWindow
 	}
-	capPow2 := 1
-	for capPow2 < perIter {
-		capPow2 <<= 1
-	}
 	p := &Profiler{
-		rings: make([]pring, ranks),
+		rings: make([]*trace.Ring, ranks),
 		now:   make([]func() int64, ranks),
 		anom:  make([]anomalyState, ranks),
 	}
 	base := time.Now()
 	shared := func() int64 { return int64(time.Since(base)) }
 	for i := range p.rings {
-		p.rings[i].mask = uint64(capPow2 - 1)
-		p.rings[i].slots = make([]pslot, capPow2)
+		p.rings[i] = trace.NewRing(perIter, recordWords)
 		p.now[i] = shared
 	}
 	return p
@@ -222,7 +175,7 @@ func (c *RankCtx) NowNs() int64 {
 }
 
 // Commit records one completed iteration. This is the steady-state
-// record path: seqlock stores, one histogram observation, the EWMA
+// record path: one ring append, one histogram observation, the EWMA
 // anomaly update and (on breach) a non-blocking channel send — zero
 // allocations, asserted by TestCommitZeroAlloc and the obs gate.
 func (c *RankCtx) Commit(rec IterRecord) {
@@ -230,7 +183,8 @@ func (c *RankCtx) Commit(rec IterRecord) {
 		return
 	}
 	p := c.p
-	p.rings[c.rank].store(&rec)
+	w := rec.words()
+	p.rings[c.rank].Append(w[:])
 	latency := float64(rec.EndNs-rec.StartNs) / 1e9
 	if p.iterHist != nil {
 		p.iterHist.Observe(latency)
@@ -244,36 +198,11 @@ func (p *Profiler) Records(rank int) []IterRecord {
 	if p == nil || rank < 0 || rank >= len(p.rings) {
 		return nil
 	}
-	r := &p.rings[rank]
-	out := make([]IterRecord, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		for attempt := 0; attempt < 4; attempt++ {
-			st1 := s.stamp.Load()
-			if st1 == 0 {
-				break
-			}
-			rec := IterRecord{
-				Iter:         s.f[fIter].Load(),
-				StartNs:      s.f[fStart].Load(),
-				ExchEndNs:    s.f[fExchEnd].Load(),
-				EndNs:        s.f[fEnd].Load(),
-				ComputeNs:    s.f[fCompute].Load(),
-				CompressNs:   s.f[fCompress].Load(),
-				ExchangeNs:   s.f[fExchange].Load(),
-				DecompressNs: s.f[fDecompress].Load(),
-				UpdateNs:     s.f[fUpdate].Load(),
-				SyncNs:       s.f[fSync].Load(),
-				MsgBytes:     s.f[fMsgBytes].Load(),
-				BlamePeer:    s.f[fBlamePeer].Load(),
-				BlameWaitNs:  s.f[fBlameWait].Load(),
-			}
-			if s.stamp.Load() == st1 {
-				out = append(out, rec)
-				break
-			}
-		}
-	}
+	r := p.rings[rank]
+	out := make([]IterRecord, 0, r.Cap())
+	r.Snapshot(func(w []int64) {
+		out = append(out, IterRecord{w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8], w[9], w[10], w[11], w[12]})
+	})
 	sortRecords(out)
 	return out
 }

@@ -50,6 +50,18 @@ func TestCommitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRecordRoundTrip: every IterRecord field survives the ring's word
+// layout — each field gets a distinct value, so a words() order that
+// drifts from the struct's declaration order shows up as a mismatch.
+func TestRecordRoundTrip(t *testing.T) {
+	p := New(1, 4)
+	want := IterRecord{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+	p.Rank(0).Commit(want)
+	if got := p.Records(0); len(got) != 1 || got[0] != want {
+		t.Fatalf("Records(0) = %+v, want [%+v]", got, want)
+	}
+}
+
 // TestCommitNilSafe: nil profiler and nil ctx record nothing and never
 // panic.
 func TestCommitNilSafe(t *testing.T) {

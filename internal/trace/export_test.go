@@ -31,18 +31,17 @@ func buildDeterministic() *Tracer {
 	for iter := uint64(0); iter < 2; iter++ {
 		base := int64(iter) * 10_000
 		for rank := 0; rank < 2; rank++ {
-			r := &tr.rings[rank]
 			off := base + int64(rank)*50
-			r.append(OpCompute, iter, 16, off, 3000)
-			r.append(OpCompress, iter, 1024, off+3000, 1000)
-			r.append(OpExchange, iter, 1024, off+4000, 2000)
-			r.append(OpUpdate, iter, 16, off+6000, 500)
-			r.append(OpIteration, iter, 1024, off, 7000)
+			tr.put(int32(rank), OpCompute, iter, 16, off, 3000)
+			tr.put(int32(rank), OpCompress, iter, 1024, off+3000, 1000)
+			tr.put(int32(rank), OpExchange, iter, 1024, off+4000, 2000)
+			tr.put(int32(rank), OpUpdate, iter, 16, off+6000, 500)
+			tr.put(int32(rank), OpIteration, iter, 1024, off, 7000)
 		}
 	}
-	tr.rings[1].append(OpSuspect, 1, 0, 15_000, 0)
-	tr.rings[0].append(OpRollback, 1, 0, 15_500, 0)
-	tr.rings[0].append(OpFlightTrigger, 1, int64(ReasonRollback), 16_000, 0)
+	tr.put(1, OpSuspect, 1, 0, 15_000, 0)
+	tr.put(0, OpRollback, 1, 0, 15_500, 0)
+	tr.put(0, OpFlightTrigger, 1, int64(ReasonRollback), 16_000, 0)
 	return tr
 }
 

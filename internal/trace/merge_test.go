@@ -95,9 +95,9 @@ func TestWriteMergedJSONStructure(t *testing.T) {
 func TestDroppedAccounting(t *testing.T) {
 	tr := New(2, 8)
 	for i := 0; i < 11; i++ {
-		tr.rings[0].append(OpCompute, uint64(i), 0, int64(i)*1000, 100)
+		tr.put(0, OpCompute, uint64(i), 0, int64(i)*1000, 100)
 	}
-	tr.rings[1].append(OpCompute, 0, 0, 0, 100)
+	tr.put(1, OpCompute, 0, 0, 0, 100)
 	if got := tr.Dropped(0); got != 3 {
 		t.Errorf("Dropped(0) = %d, want 3", got)
 	}

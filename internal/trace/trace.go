@@ -18,11 +18,12 @@
 //   - Nil-safe everywhere. A nil *Tracer / *Ctx turns every record call
 //     into a pointer check, so disabled runs pay no allocation and no
 //     atomics on the data path.
-//   - Lock-free append. Recording claims a slot with one atomic add and
-//     publishes with per-field atomic stores plus a seqlock stamp;
-//     concurrent writers (the worker loop, the cluster receiver, the
-//     heartbeater) never block each other and never tear an exported
-//     event.
+//   - Seqlock append. Each rank's track is a Ring (ring.go): recording
+//     claims a slot with one atomic add and publishes with per-word
+//     atomic stores plus a seqlock stamp; concurrent writers (the worker
+//     loop, the cluster receiver, the heartbeater) wait on each other
+//     only when one laps the whole ring mid-store, and never tear an
+//     exported event.
 //   - Bounded memory. The per-rank ring is sized once at New; steady
 //     state recording allocates nothing (asserted by TestAppendZeroAlloc
 //     and the compress/cluster gates), and old events are overwritten,
@@ -221,37 +222,13 @@ type Event struct {
 	Op    Op
 }
 
-// slot is one seqlock-protected ring entry. Writers claim an index with
-// one atomic add, invalidate the stamp, store each field atomically and
-// re-publish; readers accept a slot only when the stamp is unchanged
-// across the field loads, so a half-written (or wrapped-over) event can
-// never leak into an export. 6 words = 48 bytes per slot.
-type slot struct {
-	stamp atomic.Uint64 // 0 = empty/in-flight; else claim index + 1
-	start atomic.Int64
-	dur   atomic.Int64
-	seq   atomic.Uint64
-	arg   atomic.Int64
-	op    atomic.Uint32
-}
+// eventWords is an Event's width in its rank's Ring: start, dur, seq,
+// arg, op (the rank is the ring's).
+const eventWords = 5
 
-// ring is one rank's event buffer.
-type ring struct {
-	pos   atomic.Uint64
-	mask  uint64
-	slots []slot
-}
-
-func (r *ring) append(op Op, seq uint64, arg, start, dur int64) {
-	idx := r.pos.Add(1) - 1
-	s := &r.slots[idx&r.mask]
-	s.stamp.Store(0) // invalidate while the fields are in flux
-	s.start.Store(start)
-	s.dur.Store(dur)
-	s.seq.Store(seq)
-	s.arg.Store(arg)
-	s.op.Store(uint32(op))
-	s.stamp.Store(idx + 1)
+// put appends one event to rank's track.
+func (t *Tracer) put(rank int32, op Op, seq uint64, arg, start, dur int64) {
+	t.rings[rank].Append([]int64{start, dur, int64(seq), arg, int64(op)})
 }
 
 // DefaultEventsPerIteration is a sizing hint: one iteration records on
@@ -264,8 +241,7 @@ const DefaultEventsPerIteration = 64
 // Tracer owns one ring per rank. The zero value is not usable; a nil
 // *Tracer is valid and records nothing.
 type Tracer struct {
-	rings    []ring
-	perRank  int
+	rings    []*Ring
 	nowNanos func() int64 // ns since epoch; swapped out by tests
 	name     string       // Perfetto process_name; "" = default
 }
@@ -297,14 +273,9 @@ func New(ranks, perRank int) *Tracer {
 	if perRank <= 0 {
 		perRank = 8192
 	}
-	capPow2 := 1
-	for capPow2 < perRank {
-		capPow2 <<= 1
-	}
-	t := &Tracer{rings: make([]ring, ranks), perRank: capPow2}
+	t := &Tracer{rings: make([]*Ring, ranks)}
 	for i := range t.rings {
-		t.rings[i].mask = uint64(capPow2 - 1)
-		t.rings[i].slots = make([]slot, capPow2)
+		t.rings[i] = NewRing(perRank, eventWords)
 	}
 	base := time.Now()
 	t.nowNanos = func() int64 { return int64(time.Since(base)) }
@@ -324,7 +295,7 @@ func (t *Tracer) PerRankCapacity() int {
 	if t == nil {
 		return 0
 	}
-	return t.perRank
+	return t.rings[0].Cap()
 }
 
 // Rank returns the recording handle for one rank's track, nil when the
@@ -345,30 +316,11 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(t.rings)*t.perRank)
-	for rank := range t.rings {
-		r := &t.rings[rank]
-		for i := range r.slots {
-			s := &r.slots[i]
-			for attempt := 0; attempt < 4; attempt++ {
-				st1 := s.stamp.Load()
-				if st1 == 0 {
-					break
-				}
-				e := Event{
-					Start: s.start.Load(),
-					Dur:   s.dur.Load(),
-					Seq:   s.seq.Load(),
-					Arg:   s.arg.Load(),
-					Rank:  int32(rank),
-					Op:    Op(s.op.Load()),
-				}
-				if s.stamp.Load() == st1 {
-					out = append(out, e)
-					break
-				}
-			}
-		}
+	out := make([]Event, 0, len(t.rings)*t.PerRankCapacity())
+	for rank, r := range t.rings {
+		r.Snapshot(func(w []int64) {
+			out = append(out, Event{Start: w[0], Dur: w[1], Seq: uint64(w[2]), Arg: w[3], Rank: int32(rank), Op: Op(w[4])})
+		})
 	}
 	sortEvents(out)
 	return out
@@ -385,11 +337,7 @@ func (t *Tracer) Dropped(rank int) uint64 {
 	if t == nil || rank < 0 || rank >= len(t.rings) {
 		return 0
 	}
-	pos := t.rings[rank].pos.Load()
-	if pos <= uint64(t.perRank) {
-		return 0
-	}
-	return pos - uint64(t.perRank)
+	return t.rings[rank].Dropped()
 }
 
 // DroppedTotal sums wraparound loss across every rank's ring.
@@ -470,7 +418,7 @@ func (c *Ctx) Instant(op Op, arg int64) {
 	if c == nil {
 		return
 	}
-	c.t.rings[c.rank].append(op, c.seq.Load(), arg, c.t.nowNanos(), 0)
+	c.t.put(c.rank, op, c.seq.Load(), arg, c.t.nowNanos(), 0)
 }
 
 // SpanSince records a span that started at start and ends now.
@@ -483,7 +431,7 @@ func (c *Ctx) SpanSince(op Op, arg int64, start time.Time) {
 		dur = 0
 	}
 	end := c.t.nowNanos()
-	c.t.rings[c.rank].append(op, c.seq.Load(), arg, end-dur, dur)
+	c.t.put(c.rank, op, c.seq.Load(), arg, end-dur, dur)
 }
 
 // SpanTimed records a span with an explicit start and duration (the
@@ -499,7 +447,7 @@ func (c *Ctx) SpanTimed(op Op, arg int64, start time.Time, dur time.Duration) {
 	// Anchor the wall-clock start onto the tracer's monotonic axis: the
 	// span started time.Since(start) before "now" on that axis.
 	startNs := c.t.nowNanos() - int64(time.Since(start))
-	c.t.rings[c.rank].append(op, c.seq.Load(), arg, startNs, d)
+	c.t.put(c.rank, op, c.seq.Load(), arg, startNs, d)
 }
 
 // stageSink adapts a Ctx to telemetry.StageSink: compressor-internal

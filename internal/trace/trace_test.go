@@ -99,9 +99,8 @@ func TestWraparoundConcurrentReader(t *testing.T) {
 			}
 		}
 	}()
-	r := &tr.rings[0]
 	for v := int64(0); v < 10000; v++ {
-		r.append(OpNack, uint64(v), v, v, 0)
+		tr.put(0, OpNack, uint64(v), v, v, 0)
 	}
 	close(stop)
 	<-readerDone
@@ -114,12 +113,11 @@ func TestWraparoundConcurrentReader(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppends hammers shared rings from several writers while
-// a reader snapshots continuously. The rings are sized so no slot index
-// is reused (writer-writer slot collisions are out of scope — sized
-// rings make a full-lap lead during one append unreachable in practice),
-// leaving the seqlock's reader-vs-writer guarantee as the thing under
-// test. Run under -race for the full memory-model check.
+// TestConcurrentAppends hammers shared tracks from several writers, raw
+// appends and the public Ctx API together, while a reader snapshots
+// continuously: no exported event may be torn. (TestRingNoTornReads
+// covers writers colliding on one slot a lap apart.) Run under -race for
+// the full memory-model check.
 func TestConcurrentAppends(t *testing.T) {
 	tr := New(2, 8192)
 	var stamp atomic.Int64
@@ -157,10 +155,9 @@ func TestConcurrentAppends(t *testing.T) {
 		writerWg.Add(1)
 		go func(w int) {
 			defer writerWg.Done()
-			r := &tr.rings[w%2]
 			for i := 0; i < perWriter; i++ {
 				v := int64(w*perWriter + i)
-				r.append(OpNack, uint64(v), v, v, 0)
+				tr.put(0, OpNack, uint64(v), v, v, 0)
 			}
 		}(w)
 	}
