@@ -1,17 +1,23 @@
 GO ?= go
 
-.PHONY: all build vet test deadpkg race bench bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test deadpkg race race-short bench bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos chaos-smoke guard guard-smoke fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
+# The packages that share caches/pools across goroutines or mutate shared
+# controller/registry state: the short race pass of `check` and CI.
+RACE_SHORT_PKGS := ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ ./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ ./internal/ps/ ./internal/serve/
+
 # check is the CI gate: the orphan-package check, vet, build, full test
-# suite, then a short race pass over the packages that share caches/pools
-# across goroutines or mutate shared controller/registry state.
+# suite, then the short race pass.
 check: deadpkg
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -short ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ ./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ ./internal/ps/ ./internal/serve/
+	$(MAKE) race-short
+
+race-short:
+	$(GO) test -race -short $(RACE_SHORT_PKGS)
 
 build:
 	$(GO) build ./...
@@ -33,19 +39,26 @@ test:
 race:
 	$(GO) test -race ./internal/comm/ ./internal/collective/ ./internal/dist/ ./internal/ps/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/trace/ ./internal/obs/ ./internal/serve/
 
-# Chaos gate: the failure-policy suite plus a short fault-injected
-# training run (5% drop, delays, one crash+rejoin) that must converge.
+# Chaos gate: the failure-policy suite plus chaos-smoke, a short
+# fault-injected training run (5% drop, delays, one crash+rejoin) that
+# must converge.
 chaos:
 	$(GO) test -run 'Chaos|Fault|Partition|Rejoin|Straggler|Suspect' -v ./internal/cluster/ ./internal/chaos/ ./internal/dist/
+	$(MAKE) chaos-smoke
+
+chaos-smoke:
 	$(GO) run ./cmd/trainer -model mlp -epochs 2 -workers 4 -fault-aware \
 		-chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000
 
-# Guard gate: the integrity suite plus a training run under seeded
-# single-bit wire corruption — every corrupt frame must be caught by
-# the CRC and repaired, and the run must converge.
+# Guard gate: the integrity suite plus guard-smoke, a training run under
+# seeded single-bit wire corruption — every corrupt frame must be caught
+# by the CRC and repaired, and the run must converge.
 guard:
 	$(GO) test -run 'Guard|Frame|Scrub|Detector|Fingerprint|Corrupt|Ring|WriteFileAtomic' -v \
 		./internal/guard/ ./internal/checkpoint/ ./internal/chaos/ ./internal/dist/
+	$(MAKE) guard-smoke
+
+guard-smoke:
 	$(GO) run ./cmd/trainer -model mlp -epochs 2 -workers 4 -fault-aware -guard \
 		-chaos-corrupt 0.05
 

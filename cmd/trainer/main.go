@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -31,15 +32,8 @@ import (
 	"fftgrad/internal/checkpoint"
 	"fftgrad/internal/cluster"
 	"fftgrad/internal/collective"
-	"fftgrad/internal/compress"
-	"fftgrad/internal/data"
 	"fftgrad/internal/dist"
-	"fftgrad/internal/guard"
-	"fftgrad/internal/models"
-	"fftgrad/internal/netsim"
-	"fftgrad/internal/nn"
 	"fftgrad/internal/obs"
-	"fftgrad/internal/optim"
 	"fftgrad/internal/serve"
 	"fftgrad/internal/sparsify"
 	"fftgrad/internal/stats"
@@ -47,213 +41,203 @@ import (
 	itrace "fftgrad/internal/trace"
 )
 
-func main() {
-	method := flag.String("method", "fft", "fp32 | fft | dct | topk | qsgd | terngrad")
-	theta := flag.Float64("theta", 0.85, "drop ratio for fft/topk")
-	dropEpoch := flag.Int("drop-epoch", -1, "epoch at which theta drops to 0 (-1: never)")
-	workers := flag.Int("workers", 4, "number of BSP workers")
-	epochs := flag.Int("epochs", 4, "training epochs")
-	batch := flag.Int("batch", 16, "per-worker batch size")
-	samples := flag.Int("samples", 2048, "training samples")
-	classes := flag.Int("classes", 8, "number of classes")
-	model := flag.String("model", "cnn", "cnn | mlp")
-	lr := flag.Float64("lr", 0.03, "learning rate")
-	seed := flag.Int64("seed", 1, "random seed")
-	alpha := flag.Bool("alpha", false, "measure Assumption 3.2 alpha each iteration")
-	sparseAR := flag.Bool("sparse-allreduce", false, "exchange via the sparse ring allreduce instead of allgather (uses -theta, ignores -method)")
-	collectiveStrategy := flag.String("collective", "ring", "exchange strategy: ring | hier | tree | gossip (gossip implies -fault-aware)")
-	groupSize := flag.Int("group-size", 4, "with -collective hier, ranks per group (leader fan-in)")
-	bucketBytes := flag.Int("bucket-bytes", 0, "split the gradient into fixed-byte buckets exchanged in flight while later buckets compress (0: monolithic)")
-	partitioned := flag.Bool("partitioned", false, "with -sparse-allreduce, MiCRO-style disjoint rotating index partitions per rank")
-	metricsAddr := flag.String("metrics-addr", "", "serve live Prometheus/JSON metrics on this address (e.g. :9090)")
-	traceOut := flag.String("trace-out", "", "record a per-iteration distributed timeline and write it here as Chrome trace_event JSON (open in ui.perfetto.dev)")
-	traceIters := flag.Int("trace-iters", 256, "with -trace-out, iterations of history the per-rank trace ring retains")
-	pprofOn := flag.Bool("pprof", false, "with -metrics-addr, also serve net/http/pprof under /debug/pprof/")
-	profileOn := flag.Bool("profile", false, "enable the cross-rank iteration profiler: critical paths, straggler blame, anomaly-triggered capture, and a per-iteration breakdown")
-	profileOut := flag.String("profile-out", "", "write the end-of-run iteration profile here as JSON (implies -profile)")
-	topView := flag.Bool("top", false, "live per-rank blame / critical-path table on stderr while training runs (implies -profile)")
-	adaptive := flag.Bool("adapt", false, "let the online perf-model controller bypass compression when it cannot win on the fabric")
-	adaptTheta := flag.Bool("adapt-theta", false, "with -adapt, also let the controller steer theta toward the beneficial ratio")
+// options is the trainer's command line: the job itself as a serve.Spec,
+// the experiment-only knobs the compiled config takes on top, and the
+// process-level observability and job-service settings.
+type options struct {
+	spec serve.Spec
+
+	dropEpoch    int
+	alpha        bool
+	sparseAR     bool
+	partitioned  bool
+	adapt        bool
+	adaptTheta   bool
+	onFailure    string
+	chaosCrash   int
+	chaosCorrupt float64
+	straggler    chaos.StragglerEvent
+
+	metricsAddr string
+	traceOut    string
+	traceIters  int
+	pprof       bool
+	profile     bool
+	profileOut  string
+	top         bool
+
+	serve bool
+	pool  int
+	queue int
+	spool string
+}
+
+// bindFlags defines the trainer's flags on fs. Job flags bind straight
+// to the Spec, with the trainer's defaults; the chaos fault schedule is
+// seeded with 1 and delays 10% of messages when -chaos-delay is set.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{spec: serve.Spec{Momentum: 0.9, Chaos: &serve.ChaosSpec{Seed: 1, DelayProb: 0.1}}}
+	s, c := &o.spec, o.spec.Chaos
+	fs.StringVar(&s.Method, "method", "fft", "fp32 | fft | dct | topk | qsgd | terngrad")
+	fs.Float64Var(&s.Theta, "theta", 0.85, "drop ratio for fft/topk")
+	fs.IntVar(&o.dropEpoch, "drop-epoch", -1, "epoch at which theta drops to 0 (-1: never)")
+	fs.IntVar(&s.Workers, "workers", 4, "number of BSP workers")
+	fs.IntVar(&s.Epochs, "epochs", 4, "training epochs")
+	fs.IntVar(&s.Batch, "batch", 16, "per-worker batch size")
+	fs.IntVar(&s.Samples, "samples", 2048, "training samples")
+	fs.IntVar(&s.Classes, "classes", 8, "number of classes")
+	fs.StringVar(&s.Model, "model", "cnn", "cnn | mlp")
+	fs.Float64Var(&s.LR, "lr", 0.03, "learning rate")
+	fs.Int64Var(&s.Seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.alpha, "alpha", false, "measure Assumption 3.2 alpha each iteration")
+	fs.BoolVar(&o.sparseAR, "sparse-allreduce", false, "exchange via the sparse ring allreduce instead of allgather (uses -theta, ignores -method)")
+	fs.StringVar(&s.Collective, "collective", "ring", "exchange strategy: ring | hier | tree | gossip (gossip implies -fault-aware)")
+	fs.IntVar(&s.GroupSize, "group-size", 4, "with -collective hier, ranks per group (leader fan-in)")
+	fs.IntVar(&s.BucketBytes, "bucket-bytes", 0, "split the gradient into fixed-byte buckets exchanged in flight while later buckets compress (0: monolithic)")
+	fs.BoolVar(&o.partitioned, "partitioned", false, "with -sparse-allreduce, MiCRO-style disjoint rotating index partitions per rank")
+	fs.BoolVar(&o.adapt, "adapt", false, "let the online perf-model controller bypass compression when it cannot win on the fabric")
+	fs.BoolVar(&o.adaptTheta, "adapt-theta", false, "with -adapt, also let the controller steer theta toward the beneficial ratio")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live Prometheus/JSON metrics on this address (e.g. :9090)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "record a per-iteration distributed timeline and write it here as Chrome trace_event JSON (open in ui.perfetto.dev)")
+	fs.IntVar(&o.traceIters, "trace-iters", 256, "with -trace-out, iterations of history the per-rank trace ring retains")
+	fs.BoolVar(&o.pprof, "pprof", false, "with -metrics-addr, also serve net/http/pprof under /debug/pprof/")
+	fs.BoolVar(&o.profile, "profile", false, "enable the cross-rank iteration profiler: critical paths, straggler blame, anomaly-triggered capture, and a per-iteration breakdown")
+	fs.StringVar(&o.profileOut, "profile-out", "", "write the end-of-run iteration profile here as JSON (implies -profile)")
+	fs.BoolVar(&o.top, "top", false, "live per-rank blame / critical-path table on stderr while training runs (implies -profile)")
 
 	// Job-service mode (internal/serve).
-	serveMode := flag.Bool("serve", false, "run as a multi-tenant training job service instead of a one-shot run (HTTP job API on -metrics-addr, default :9090)")
-	poolSlots := flag.Int("pool", 8, "with -serve, worker slots in the shared scheduling pool")
-	queueMax := flag.Int("queue", 16, "with -serve, maximum queued jobs before submissions get 429")
-	spoolDir := flag.String("spool", "spool", "with -serve, directory for drain-time job checkpoints (\"\" disables spooling)")
+	fs.BoolVar(&o.serve, "serve", false, "run as a multi-tenant training job service instead of a one-shot run (HTTP job API on -metrics-addr, default :9090)")
+	fs.IntVar(&o.pool, "pool", 8, "with -serve, worker slots in the shared scheduling pool")
+	fs.IntVar(&o.queue, "queue", 16, "with -serve, maximum queued jobs before submissions get 429")
+	fs.StringVar(&o.spool, "spool", "spool", "with -serve, directory for drain-time job checkpoints (\"\" disables spooling)")
 
 	// Failure-aware runtime (internal/cluster) + chaos injection.
-	faultAware := flag.Bool("fault-aware", false, "exchange through the failure-aware cluster runtime (heartbeats, retry, degradation, rejoin)")
-	heartbeat := flag.Duration("heartbeat", 2*time.Millisecond, "with -fault-aware, heartbeat period")
-	suspectAfter := flag.Duration("suspect-after", 0, "with -fault-aware, silence before a peer is suspected dead (0: 50x heartbeat)")
-	maxRetries := flag.Int("max-retries", 5, "with -fault-aware, nack/resend rounds per exchange before classifying the absentee")
-	onFailure := flag.String("on-failure", "rescale", "with -fault-aware, dead-rank policy: failfast | rescale | stale")
-	onStraggler := flag.String("on-straggler", "wait", "with -fault-aware, straggler policy: wait | drop | stale")
-	staleness := flag.Int("staleness", 0, "with -fault-aware, bounded-staleness window K in iterations: ranks run up to K ahead, late gradients fold in damped (0: strict BSP)")
-	stalenessDiscount := flag.Float64("staleness-discount", 0.9, "with -staleness, per-iteration damping factor applied to stale gradients")
-	elasticJoin := flag.String("elastic-join", "", "comma-separated iterations at which brand-new ranks join mid-run (implies -fault-aware; e.g. 10,20)")
-	chaosDrop := flag.Float64("chaos-drop", 0, "chaos: per-message drop probability (enables fault injection)")
-	chaosDelay := flag.Duration("chaos-delay", 0, "chaos: max injected message delay")
-	chaosDelayProb := flag.Float64("chaos-delay-prob", 0.1, "chaos: probability a message is delayed (with -chaos-delay)")
-	chaosDup := flag.Float64("chaos-dup", 0, "chaos: per-message duplication probability")
-	chaosCrash := flag.Int("chaos-crash", -1, "chaos: rank to crash mid-run (-1: none)")
-	chaosCrashAt := flag.Uint64("chaos-crash-at", 1000, "chaos: crash at this transport-op index")
-	chaosCrashFor := flag.Uint64("chaos-crash-for", 1000, "chaos: recover after this many ops (0: never)")
-	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "chaos: per-message single-bit-flip probability")
-	chaosStraggle := flag.Int("chaos-straggle", -1, "chaos: rank made persistently slow, never dead (-1: none)")
-	chaosStraggleBy := flag.Duration("chaos-straggle-by", 20*time.Millisecond, "chaos: per-send delivery delay of the straggling rank")
-	chaosStraggleAt := flag.Uint64("chaos-straggle-at", 0, "chaos: transport-op index at which the straggle window opens")
-	chaosStraggleFor := flag.Uint64("chaos-straggle-for", 0, "chaos: ops until the straggler recovers (0: never)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault-schedule seed")
+	fs.BoolVar(&s.Fault, "fault-aware", false, "exchange through the failure-aware cluster runtime (heartbeats, retry, degradation, rejoin)")
+	fs.StringVar(&o.onFailure, "on-failure", "rescale", "with -fault-aware, dead-rank policy: failfast | rescale | stale")
+	fs.IntVar(&s.Staleness, "staleness", 0, "with -fault-aware, bounded-staleness window K in iterations: ranks run up to K ahead, late gradients fold in damped (0: strict BSP)")
+	fs.Float64Var(&s.StalenessDiscount, "staleness-discount", 0.9, "with -staleness, per-iteration damping factor applied to stale gradients")
+	fs.Func("elastic-join", "comma-separated iterations at which brand-new ranks join mid-run (implies -fault-aware; e.g. 10,20)", func(v string) error {
+		s.ElasticJoins = nil
+		for _, tok := range strings.Split(v, ",") {
+			if tok = strings.TrimSpace(tok); tok == "" {
+				continue
+			}
+			at, err := strconv.Atoi(tok)
+			if err != nil {
+				return err
+			}
+			s.ElasticJoins = append(s.ElasticJoins, at)
+		}
+		return nil
+	})
+	fs.Float64Var(&c.Drop, "chaos-drop", 0, "chaos: per-message drop probability (enables fault injection)")
+	fs.Func("chaos-delay", "chaos: max injected message delay, a whole number of milliseconds (e.g. 10ms)", func(v string) error {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			return err
+		}
+		if d%time.Millisecond != 0 {
+			return fmt.Errorf("%s is not a whole number of milliseconds", d)
+		}
+		c.DelayMS = int(d / time.Millisecond)
+		return nil
+	})
+	fs.IntVar(&o.chaosCrash, "chaos-crash", -1, "chaos: rank to crash mid-run (-1: none)")
+	fs.Uint64Var(&c.CrashAtOp, "chaos-crash-at", 1000, "chaos: crash at this transport-op index")
+	fs.Uint64Var(&c.RecoverAfterOps, "chaos-crash-for", 1000, "chaos: recover after this many ops (0: never)")
+	fs.Float64Var(&o.chaosCorrupt, "chaos-corrupt", 0, "chaos: per-message single-bit-flip probability")
+	fs.IntVar(&o.straggler.Rank, "chaos-straggle", -1, "chaos: rank made persistently slow, never dead (-1: none)")
+	fs.DurationVar(&o.straggler.SlowBy, "chaos-straggle-by", 20*time.Millisecond, "chaos: per-send delivery delay of the straggling rank")
+	fs.Uint64Var(&o.straggler.FromOp, "chaos-straggle-at", 0, "chaos: transport-op index at which the straggle window opens")
+	fs.Uint64Var(&o.straggler.Ops, "chaos-straggle-for", 0, "chaos: ops until the straggler recovers (0: never)")
 
 	// Gradient integrity guard (internal/guard).
-	guardOn := flag.Bool("guard", false, "enable the gradient integrity guard (CRC framing, scrub, anomaly detector, drift checks)")
-	guardCRC := flag.Bool("guard-crc", true, "with -guard, CRC32C-frame every compressed gradient message")
-	guardScrub := flag.String("guard-scrub", "clamp", "with -guard, non-finite gradient policy: off | clamp | skip")
-	guardDriftEvery := flag.Int("guard-drift-every", 50, "with -guard, iterations between cross-rank parameter fingerprint checks (0: off)")
-	guardRollbackAfter := flag.Int("guard-rollback-after", 6, "with -guard, consecutive anomalies before auto-rollback")
+	fs.BoolVar(&s.Guard, "guard", false, "enable the gradient integrity guard (CRC framing, clamping scrub, anomaly detector, drift checks every 50 iterations)")
+	return o
+}
+
+// config compiles the command line into a training config: the job
+// through serve.Spec.Config, then the trainer's experiment-only knobs.
+// It leaves out process-level wiring (telemetry, tracing, profiling,
+// Stop).
+func (o *options) config() (dist.Config, error) {
+	spec := o.spec
+	chaosSpec := *spec.Chaos
+	spec.Chaos = nil
+	if chaosSpec.Drop > 0 || chaosSpec.DelayMS > 0 || o.chaosCrash >= 0 || o.chaosCorrupt > 0 || o.straggler.Rank >= 0 {
+		if o.chaosCrash >= 0 {
+			chaosSpec.CrashRank = &o.chaosCrash
+		}
+		spec.Chaos = &chaosSpec
+	}
+	policy, err := cluster.ParsePolicy(o.onFailure)
+	if err != nil {
+		return dist.Config{}, err
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		return dist.Config{}, err
+	}
+	cfg.MeasureAlpha = o.alpha
+	if o.sparseAR {
+		cfg.UseSparseAllreduce = true
+		cfg.SparseTheta = spec.Theta
+	}
+	if o.partitioned {
+		if cfg.Collective == nil {
+			cfg.Collective = &collective.Config{}
+		}
+		cfg.Collective.Partitioned = true
+	}
+	if o.dropEpoch >= 0 {
+		cfg.ThetaSchedule = sparsify.StepDrop{Initial: spec.Theta, Final: 0, DropEpoch: o.dropEpoch}
+	}
+	if o.adapt {
+		cfg.Adapt = adapt.New(adapt.Config{AdjustTheta: o.adaptTheta}, nil)
+	}
+	if f := cfg.Fault; f != nil {
+		f.Cluster.Policy = policy
+		if cc := f.Chaos; cc != nil {
+			cc.Corrupt = o.chaosCorrupt
+			if o.straggler.Rank >= 0 {
+				cc.Stragglers = []chaos.StragglerEvent{o.straggler}
+			}
+		}
+	}
+	return cfg, nil
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *serveMode {
-		runServe(*metricsAddr, serve.Config{
-			WorkerSlots: *poolSlots,
-			MaxQueue:    *queueMax,
-			SpoolDir:    *spoolDir,
+	if o.serve {
+		runServe(o.metricsAddr, serve.Config{
+			WorkerSlots: o.pool,
+			MaxQueue:    o.queue,
+			SpoolDir:    o.spool,
 		})
 		return
 	}
 
-	newCompressor, err := buildCompressor(*method, *theta)
+	cfg, err := o.config()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var (
-		train, test *data.Dataset
-		modelFn     func(int64) *nn.Network
-	)
-	switch *model {
-	case "cnn":
-		train, test = data.SynthImages(*samples+512, *classes, 16, 0.3, *seed).Split(*samples)
-		modelFn = func(s int64) *nn.Network { return models.TinyCNN(*classes, 16, s) }
-	case "mlp":
-		train, test = data.GaussianBlobs(*samples+512, *classes, 24, 0.8, *seed).Split(*samples)
-		modelFn = func(s int64) *nn.Network { return models.MLP(24, 48, *classes, s) }
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		os.Exit(2)
+	if cfg.Fault != nil && cfg.Fault.Chaos != nil {
+		fmt.Printf("chaos schedule: %s\n", cfg.Fault.Chaos)
 	}
-
-	cfg := dist.Config{
-		Workers: *workers, Batch: *batch, Epochs: *epochs, Seed: *seed,
-		Momentum:      0.9,
-		LR:            optim.ConstLR(*lr),
-		Model:         modelFn,
-		Train:         train,
-		Test:          test,
-		NewCompressor: newCompressor,
-		Fabric:        netsim.CometCluster(),
-		MeasureAlpha:  *alpha,
-	}
-	if *sparseAR {
-		cfg.UseSparseAllreduce = true
-		cfg.SparseTheta = *theta
-	}
-	if *collectiveStrategy != "ring" || *bucketBytes > 0 || *partitioned {
-		cfg.Collective = &collective.Config{
-			Strategy:    collective.Strategy(*collectiveStrategy),
-			GroupSize:   *groupSize,
-			BucketBytes: *bucketBytes,
-			Partitioned: *partitioned,
-		}
-		if err := cfg.Collective.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if *dropEpoch >= 0 {
-		cfg.ThetaSchedule = sparsify.StepDrop{Initial: *theta, Final: 0, DropEpoch: *dropEpoch}
-	}
-	if *metricsAddr != "" || *adaptive {
+	if o.metricsAddr != "" || cfg.Adapt != nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	if *adaptive {
-		cfg.Adapt = adapt.New(adapt.Config{AdjustTheta: *adaptTheta}, nil)
-	}
-	if *guardOn {
-		policy, err := guard.ParseScrubPolicy(*guardScrub)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Guard = &guard.Config{
-			CRC:           *guardCRC,
-			Scrub:         policy,
-			Detect:        true,
-			DriftEvery:    *guardDriftEvery,
-			RollbackAfter: *guardRollbackAfter,
-		}
-	}
-	var joinIters []int
-	if *elasticJoin != "" {
-		for _, tok := range strings.Split(*elasticJoin, ",") {
-			var at int
-			if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &at); err != nil || at < 0 {
-				fmt.Fprintf(os.Stderr, "bad -elastic-join entry %q\n", tok)
-				os.Exit(2)
-			}
-			joinIters = append(joinIters, at)
-		}
-	}
-	chaosWanted := *chaosDrop > 0 || *chaosDelay > 0 || *chaosDup > 0 || *chaosCrash >= 0 || *chaosCorrupt > 0 || *chaosStraggle >= 0
-	if *faultAware || chaosWanted || *staleness > 0 || len(joinIters) > 0 || *collectiveStrategy == "gossip" {
-		policy, err := cluster.ParsePolicy(*onFailure)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		stragglerPolicy, err := cluster.ParseStragglerPolicy(*onStraggler)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Fault = &dist.FaultConfig{
-			Cluster: cluster.Config{
-				Heartbeat:    *heartbeat,
-				SuspectAfter: *suspectAfter,
-				MaxRetries:   *maxRetries,
-				Policy:       policy,
-				OnStraggler:  stragglerPolicy,
-				Seed:         *seed,
-			},
-			Staleness:         *staleness,
-			StalenessDiscount: *stalenessDiscount,
-			ElasticJoins:      joinIters,
-		}
-		if chaosWanted {
-			cc := &chaos.Config{
-				Seed:      *chaosSeed,
-				Drop:      *chaosDrop,
-				DelayProb: *chaosDelayProb,
-				Delay:     *chaosDelay,
-				Dup:       *chaosDup,
-				Corrupt:   *chaosCorrupt,
-			}
-			if *chaosCrash >= 0 {
-				cc.Crashes = []chaos.CrashEvent{{Rank: *chaosCrash, AtOp: *chaosCrashAt, RecoverAfterOps: *chaosCrashFor}}
-			}
-			if *chaosStraggle >= 0 {
-				cc.Stragglers = []chaos.StragglerEvent{{Rank: *chaosStraggle, FromOp: *chaosStraggleAt, Ops: *chaosStraggleFor, SlowBy: *chaosStraggleBy}}
-			}
-			cfg.Fault.Chaos = cc
-			fmt.Printf("chaos schedule: %s\n", cc)
-		}
-	}
+	spec := &o.spec
+	ranks := spec.Workers + len(spec.ElasticJoins)
 	var tracer *itrace.Tracer
-	if *traceOut != "" {
-		tracer = itrace.New(*workers+len(joinIters), *traceIters*itrace.DefaultEventsPerIteration)
+	if o.traceOut != "" {
+		tracer = itrace.New(ranks, o.traceIters*itrace.DefaultEventsPerIteration)
 		cfg.Tracer = tracer
-		cfg.Flight = itrace.NewFlightRecorder(tracer, flightPath(*traceOut))
+		cfg.Flight = itrace.NewFlightRecorder(tracer, flightPath(o.traceOut))
 		defer func() {
 			if r := recover(); r != nil {
 				cfg.Flight.Trigger(0, itrace.ReasonPanic)
@@ -263,8 +247,8 @@ func main() {
 	}
 	var prof *obs.Profiler
 	var stopCapture func()
-	if *profileOn || *profileOut != "" || *topView {
-		prof = obs.New(*workers+len(joinIters), 0)
+	if o.profile || o.profileOut != "" || o.top {
+		prof = obs.New(ranks, 0)
 		cfg.Profiler = prof
 		if cfg.Telemetry == nil {
 			// The profiler's rolling blame percentiles live in telemetry
@@ -275,22 +259,22 @@ func main() {
 		// land next to the profile output, else the trace output, else cwd.
 		capDir := "."
 		switch {
-		case *profileOut != "":
-			capDir = filepath.Dir(*profileOut)
-		case *traceOut != "":
-			capDir = filepath.Dir(*traceOut)
+		case o.profileOut != "":
+			capDir = filepath.Dir(o.profileOut)
+		case o.traceOut != "":
+			capDir = filepath.Dir(o.traceOut)
 		}
 		stopCapture = prof.EnableCapture(obs.CaptureConfig{Dir: capDir, Flight: cfg.Flight})
 	}
 	var draining atomic.Bool // flips /readyz once a halt is requested
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		mux := http.NewServeMux()
 		buildinfo.Register(cfg.Telemetry)
 		mux.Handle("/", cfg.Telemetry.Handler())
 		if tracer != nil {
 			mux.Handle("/trace", tracer.Handler())
 		}
-		if *pprofOn {
+		if o.pprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -318,7 +302,7 @@ func main() {
 			}
 			_, _ = io.WriteString(w, "ok\n")
 		})
-		bound, shutdown, err := telemetry.ServeHandler(*metricsAddr, mux)
+		bound, shutdown, err := telemetry.ServeHandler(o.metricsAddr, mux)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -328,7 +312,7 @@ func main() {
 		if tracer != nil {
 			fmt.Printf("trace:   http://%s/trace (Chrome trace_event JSON)\n", bound)
 		}
-		if *pprofOn {
+		if o.pprof {
 			fmt.Printf("pprof:   http://%s/debug/pprof/\n", bound)
 		}
 		if prof != nil {
@@ -355,9 +339,9 @@ func main() {
 		os.Exit(130)
 	}()
 
-	fmt.Printf("training %s with %s (θ=%.2f) on %d workers\n", *model, *method, *theta, *workers)
+	fmt.Printf("training %s with %s (θ=%.2f) on %d workers\n", spec.Model, spec.Method, spec.Theta, spec.Workers)
 	var stopTop func()
-	if *topView {
+	if o.top {
 		topStop := make(chan struct{})
 		topDone := make(chan struct{})
 		go func() {
@@ -383,19 +367,19 @@ func main() {
 		// postmortem wants to see.
 		data, merr := tracer.MarshalJSON()
 		if merr == nil {
-			merr = checkpoint.WriteBytesAtomic(*traceOut, data)
+			merr = checkpoint.WriteBytesAtomic(o.traceOut, data)
 		}
 		if merr != nil {
 			fmt.Fprintf(os.Stderr, "trace dump failed: %v\n", merr)
 		} else {
-			fmt.Printf("trace: wrote %s (%d bytes; open in ui.perfetto.dev)\n", *traceOut, len(data))
+			fmt.Printf("trace: wrote %s (%d bytes; open in ui.perfetto.dev)\n", o.traceOut, len(data))
 		}
 		if prof != nil {
 			// The clock-aligned multi-process view: every rank's ring merged
 			// into one timeline, re-based by the profiler's offset estimates.
 			var buf bytes.Buffer
 			if merr := tracer.WriteMergedJSON(&buf, prof.Offsets()); merr == nil {
-				mp := mergedPath(*traceOut)
+				mp := mergedPath(o.traceOut)
 				if werr := checkpoint.WriteBytesAtomic(mp, buf.Bytes()); werr != nil {
 					fmt.Fprintf(os.Stderr, "merged trace dump failed: %v\n", werr)
 				} else {
@@ -421,15 +405,15 @@ func main() {
 		if n := len(doc.Captures); n > 0 {
 			fmt.Printf("profile: %d anomaly capture(s) written: pprof CPU window + flight dump, cross-linked by iteration\n", n)
 		}
-		if *profileOut != "" {
+		if o.profileOut != "" {
 			data, merr := json.MarshalIndent(&doc, "", "  ")
 			if merr == nil {
-				merr = checkpoint.WriteBytesAtomic(*profileOut, data)
+				merr = checkpoint.WriteBytesAtomic(o.profileOut, data)
 			}
 			if merr != nil {
 				fmt.Fprintf(os.Stderr, "profile dump failed: %v\n", merr)
 			} else {
-				fmt.Printf("profile: wrote %s (%d bytes)\n", *profileOut, len(data))
+				fmt.Printf("profile: wrote %s (%d bytes)\n", o.profileOut, len(data))
 			}
 		}
 	}
@@ -466,7 +450,7 @@ func main() {
 	if res.Fault != nil {
 		s := res.Fault.Cluster
 		fmt.Printf("fault runtime: %d retries, %d suspicions, %d degraded iters, %d stale reuses, %d rejoins, %d skipped syncs, %d/%d ranks alive at end\n",
-			s.Retries, s.Suspicions, s.DegradedIterations, s.StaleReuses, s.Rejoins, s.SkippedSyncs, s.FinalAlive, *workers+len(joinIters))
+			s.Retries, s.Suspicions, s.DegradedIterations, s.StaleReuses, s.Rejoins, s.SkippedSyncs, s.FinalAlive, ranks)
 		if s.ElasticJoins > 0 || s.GossipRounds > 0 || s.StalenessMax > 0 {
 			fmt.Printf("elasticity: %d elastic joins, %d gossip rounds, max folded staleness %d seqs\n",
 				s.ElasticJoins, s.GossipRounds, s.StalenessMax)
@@ -483,7 +467,7 @@ func main() {
 		fmt.Printf("guard: %d corrupt frames rejected, %d values scrubbed (%d gradients withheld), %d anomalies (%d clips, %d skipped updates, %d rollbacks), %d drift checks (%d forced re-syncs)\n",
 			g.CorruptFrames, g.ScrubbedValues, g.SkippedGradients, g.Anomalies, g.Clips, g.SkippedUpdates, g.Rollbacks, g.DriftChecks, g.DriftResyncs)
 	}
-	if *alpha && len(res.Alpha) > 0 {
+	if cfg.MeasureAlpha && len(res.Alpha) > 0 {
 		e := stats.NewECDF(res.Alpha)
 		fmt.Printf("alpha (Assumption 3.2): median %.3f, p95 %.3f, max %.3f\n",
 			e.Quantile(0.5), e.Quantile(0.95), e.Quantile(1))
@@ -555,17 +539,4 @@ func flightPath(traceOut string) string {
 func mergedPath(traceOut string) string {
 	ext := filepath.Ext(traceOut)
 	return strings.TrimSuffix(traceOut, ext) + ".merged" + ext
-}
-
-func buildCompressor(method string, theta float64) (func() compress.Compressor, error) {
-	if _, err := compress.New(method, theta); err != nil {
-		return nil, err
-	}
-	return func() compress.Compressor {
-		c, err := compress.New(method, theta)
-		if err != nil {
-			panic(err) // validated above
-		}
-		return c
-	}, nil
 }

@@ -145,19 +145,6 @@ func (p StragglerPolicy) String() string {
 	return "unknown"
 }
 
-// ParseStragglerPolicy parses "wait" | "drop" | "stale".
-func ParseStragglerPolicy(s string) (StragglerPolicy, error) {
-	switch s {
-	case "wait":
-		return StragglerWait, nil
-	case "drop":
-		return StragglerDrop, nil
-	case "stale":
-		return StragglerStale, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown straggler policy %q (want wait|drop|stale)", s)
-}
-
 // Config tunes the runtime. Zero values take the documented defaults.
 type Config struct {
 	// Heartbeat is the ping period (default 2ms — in-process scale; a

@@ -390,8 +390,10 @@ func (c *Config) finalState(res *Result, net *nn.Network, sgd *optim.SGD) {
 	res.Final = checkpoint.Capture(net, sgd, done/int64(c.ItersPerEpoch), done-1)
 }
 
-// validate rejects option combinations no exchanger implements.
-func (c *Config) validate() error {
+// Validate rejects option combinations no exchanger implements. Train
+// runs it; a caller that compiles a Config ahead of the run (the job
+// service at submission) runs it too, to fail early.
+func (c *Config) Validate() error {
 	if c.Guard != nil && c.UseSparseAllreduce {
 		return fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
 	}
@@ -402,13 +404,8 @@ func (c *Config) validate() error {
 		if col.BucketBytes > 0 && c.UseSparseAllreduce {
 			return fmt.Errorf("dist: BucketBytes applies to the compressed-message exchange; disable UseSparseAllreduce")
 		}
-		if col.Strategy == collective.Gossip {
-			if c.Fault == nil {
-				return fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
-			}
-			if col.BucketBytes > 0 {
-				return fmt.Errorf("dist: gossip exchanges whole gradients with ring neighbors; BucketBytes does not apply")
-			}
+		if col.Strategy == collective.Gossip && c.Fault == nil {
+			return fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
 		}
 	}
 	f := c.Fault
@@ -475,7 +472,7 @@ func Train(c Config) (*Result, error) {
 		return nil, fmt.Errorf("dist: Model and Train dataset are required")
 	}
 	cfg := c.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// One stage timer is shared by every worker's compressor and the

@@ -288,18 +288,6 @@ func TestScrubSkip(t *testing.T) {
 	}
 }
 
-func TestParseScrubPolicy(t *testing.T) {
-	for s, want := range map[string]ScrubPolicy{"off": ScrubOff, "": ScrubOff, "clamp": ScrubClamp, "skip": ScrubSkip} {
-		got, err := ParseScrubPolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParseScrubPolicy(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseScrubPolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
-	}
-}
-
 // feed pushes n healthy samples around base so the detector warms up.
 func feed(d *Detector, base float64, n int) {
 	for i := 0; i < n; i++ {

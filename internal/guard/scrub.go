@@ -1,9 +1,6 @@
 package guard
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ScrubPolicy selects what the pre-compress scrub pass does with
 // non-finite gradient values.
@@ -23,19 +20,6 @@ const (
 	// healthy iteration, not polluted with NaNs.
 	ScrubSkip
 )
-
-// ParseScrubPolicy maps a flag string to a policy.
-func ParseScrubPolicy(s string) (ScrubPolicy, error) {
-	switch s {
-	case "off", "":
-		return ScrubOff, nil
-	case "clamp":
-		return ScrubClamp, nil
-	case "skip":
-		return ScrubSkip, nil
-	}
-	return ScrubOff, fmt.Errorf("guard: unknown scrub policy %q (want off|clamp|skip)", s)
-}
 
 func (p ScrubPolicy) String() string {
 	switch p {

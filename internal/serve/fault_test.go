@@ -167,3 +167,30 @@ func TestDrainSpoolsAndResumes(t *testing.T) {
 		t.Fatalf("resumed accuracy %.3f", rf.TestAcc)
 	}
 }
+
+// TestChaosSpecDefaults: a chaos block with delay_ms and no delay_prob
+// delays 10% of messages, and a crash without ops crashes at op 1200 and
+// recovers 1000 ops later. The submitted ChaosSpec is left as it was.
+func TestChaosSpecDefaults(t *testing.T) {
+	rank := 1
+	submitted := ChaosSpec{Seed: 3, DelayMS: 10, CrashRank: &rank}
+	s := fastSpec(1)
+	s.Chaos = &submitted
+	if err := s.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Fault == nil || cfg.Fault.Chaos == nil {
+		t.Fatal("chaos spec did not compile to a fault-path chaos schedule")
+	}
+	want := "chaos{seed=3 drop=0 delay=0.1@10ms dup=0 corrupt=0 crash[r1@1200+1000]}"
+	if got := cfg.Fault.Chaos.String(); got != want {
+		t.Fatalf("chaos %s, want %s", got, want)
+	}
+	if submitted.DelayProb != 0 || submitted.CrashAtOp != 0 || submitted.RecoverAfterOps != 0 {
+		t.Fatalf("normalize modified the caller's ChaosSpec: %+v", submitted)
+	}
+}

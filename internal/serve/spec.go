@@ -30,9 +30,11 @@ import (
 	"fftgrad/internal/ps"
 )
 
-// Spec is the JSON job submission. Every field is optional; zero values
-// take the defaults noted inline, so `{}` is a valid two-worker BSP job
-// with FFT compression.
+// Spec describes one training job: the JSON job submission, and what the
+// trainer's command line compiles into. Every field is optional at
+// submission, where zero values take the defaults noted inline, so `{}`
+// is a valid two-worker BSP job with FFT compression. Config compiles a
+// Spec as it stands, without defaults.
 type Spec struct {
 	Name     string `json:"name,omitempty"`
 	Backend  string `json:"backend,omitempty"`  // "bsp" (default) or "ps"
@@ -97,18 +99,22 @@ type Spec struct {
 type ChaosSpec struct {
 	Seed      int64   `json:"seed,omitempty"`
 	Drop      float64 `json:"drop,omitempty"`
-	DelayProb float64 `json:"delay_prob,omitempty"`
+	DelayProb float64 `json:"delay_prob,omitempty"` // default 0.1 with delay_ms
 	DelayMS   int     `json:"delay_ms,omitempty"`
 
 	// CrashRank, when set, crashes that rank at CrashAtOp transport
-	// operations and recovers it RecoverAfterOps later — the
+	// operations (default 1200) and recovers it RecoverAfterOps later
+	// (default 1000; Config compiles an explicit 0 as never) — the
 	// kill-a-worker-mid-job scenario of the rejoin tests.
 	CrashRank       *int   `json:"crash_rank,omitempty"`
 	CrashAtOp       uint64 `json:"crash_at_op,omitempty"`
 	RecoverAfterOps uint64 `json:"recover_after_ops,omitempty"`
 }
 
-// normalize applies defaults in place and validates the result.
+// normalize fills the zero-means-default fields of a submission and
+// applies the service's admission rules: the slot and epoch caps, and
+// the features the parameter-server backend lacks. Whether the job
+// itself is valid is for Config to say.
 func (s *Spec) normalize() error {
 	if s.Backend == "" {
 		s.Backend = "bsp"
@@ -137,9 +143,6 @@ func (s *Spec) normalize() error {
 	if s.Model == "" {
 		s.Model = "mlp"
 	}
-	if s.Model != "mlp" && s.Model != "cnn" {
-		return fmt.Errorf("model %q: want mlp or cnn", s.Model)
-	}
 	if s.Classes == 0 {
 		s.Classes = 4
 	}
@@ -155,118 +158,103 @@ func (s *Spec) normalize() error {
 	if s.Theta == 0 {
 		s.Theta = 0.85
 	}
-	if _, err := compress.New(s.Method, s.Theta); err != nil {
-		return err
-	}
 	if s.LR == 0 {
 		s.LR = 0.05
 	}
 	if s.Momentum == 0 {
 		s.Momentum = 0.9
 	}
-	if s.Backend == "ps" && (s.Guard || s.Fault || s.Chaos != nil) {
-		return fmt.Errorf("guard/fault/chaos require the bsp backend")
-	}
-	if s.Backend == "ps" && (s.Staleness != 0 || len(s.ElasticJoins) > 0) {
-		return fmt.Errorf("bounded staleness and elastic joins require the bsp backend")
-	}
-	if s.Staleness < 0 {
-		return fmt.Errorf("staleness %d must be non-negative", s.Staleness)
-	}
-	if s.StalenessDiscount < 0 || s.StalenessDiscount > 1 {
-		return fmt.Errorf("staleness_discount %v outside (0,1]", s.StalenessDiscount)
-	}
-	for _, at := range s.ElasticJoins {
-		if at < 0 {
-			return fmt.Errorf("elastic_joins iteration %d must be non-negative", at)
+	if s.Chaos != nil {
+		c := *s.Chaos // the caller's ChaosSpec stays as submitted
+		if c.DelayMS > 0 && c.DelayProb == 0 {
+			c.DelayProb = 0.1
 		}
+		if c.CrashRank != nil {
+			if c.CrashAtOp == 0 {
+				c.CrashAtOp = 1200
+			}
+			if c.RecoverAfterOps == 0 {
+				c.RecoverAfterOps = 1000
+			}
+		}
+		s.Chaos = &c
+	}
+	if s.Backend == "ps" && (s.Guard || s.faultPath() || s.Collective != "" || s.BucketBytes != 0 || s.GroupSize != 0) {
+		return fmt.Errorf("guard, fault, chaos, staleness, elastic joins and collective options require the bsp backend")
 	}
 	if s.Workers+len(s.ElasticJoins) > 64 {
 		return fmt.Errorf("workers %d + %d elastic joins exceed the 64-slot cap", s.Workers, len(s.ElasticJoins))
 	}
-	if s.Collective != "" || s.BucketBytes != 0 || s.GroupSize != 0 {
-		if s.Backend == "ps" {
-			return fmt.Errorf("collective/bucketing options require the bsp backend")
-		}
-		if c := s.collectiveConfig(); c != nil {
-			if err := c.Validate(); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-// faultPath reports whether the submission runs on the failure-aware
-// cluster runtime — requested directly or implied by a feature that
-// needs it (chaos, bounded staleness, elastic joins, gossip).
+// faultPath reports whether the job runs on the failure-aware cluster
+// runtime — requested directly or implied by a feature that needs it
+// (chaos, bounded staleness, elastic joins, gossip). A negative
+// Staleness counts too, so that validation sees and rejects it.
 func (s *Spec) faultPath() bool {
-	return s.Fault || s.Chaos != nil || s.Staleness > 0 || len(s.ElasticJoins) > 0 ||
+	return s.Fault || s.Chaos != nil || s.Staleness != 0 || len(s.ElasticJoins) > 0 ||
 		s.Collective == string(collective.Gossip)
 }
 
 // collectiveConfig compiles the exchange-strategy fields into a
-// collective.Config, or nil when the submission keeps the flat default.
+// collective.Config, or nil when the job keeps the flat default.
 func (s *Spec) collectiveConfig() *collective.Config {
 	if (s.Collective == "" || s.Collective == "ring") && s.BucketBytes == 0 {
 		return nil
 	}
-	c := &collective.Config{
+	return &collective.Config{
 		Strategy:    collective.Strategy(s.Collective),
 		GroupSize:   s.GroupSize,
 		BucketBytes: s.BucketBytes,
 	}
-	if c.Strategy == "" {
-		c.Strategy = collective.Ring
-	}
-	return c
 }
 
-// buildJob compiles a normalized Spec into a runnable dist.Job with its
-// full per-job pipeline: dataset, model, compressor factory, and the
-// optional guard and fault/chaos layers.
-func (s *Spec) buildJob() (dist.Job, error) {
-	var (
-		train, test *data.Dataset
-		modelFn     func(int64) *nn.Network
-	)
+// workload builds the dataset split and the model constructor.
+func (s *Spec) workload() (train, test *data.Dataset, model func(int64) *nn.Network, err error) {
 	classes := s.Classes
 	switch s.Model {
 	case "cnn":
 		train, test = data.SynthImages(s.Samples+512, classes, 16, 0.3, s.Seed).Split(s.Samples)
-		modelFn = func(seed int64) *nn.Network { return models.TinyCNN(classes, 16, seed) }
-	default:
+		model = func(seed int64) *nn.Network { return models.TinyCNN(classes, 16, seed) }
+	case "mlp":
 		train, test = data.GaussianBlobs(s.Samples+512, classes, 24, 0.8, s.Seed).Split(s.Samples)
-		modelFn = func(seed int64) *nn.Network { return models.MLP(24, 48, classes, seed) }
+		model = func(seed int64) *nn.Network { return models.MLP(24, 48, classes, seed) }
+	default:
+		return nil, nil, nil, fmt.Errorf("model %q: want mlp or cnn", s.Model)
 	}
+	return train, test, model, nil
+}
+
+// codec returns the per-worker compressor factory.
+func (s *Spec) codec() (func() compress.Compressor, error) {
 	method, theta := s.Method, s.Theta
-	newComp := func() compress.Compressor {
+	if _, err := compress.New(method, theta); err != nil {
+		return nil, err
+	}
+	return func() compress.Compressor {
 		c, err := compress.New(method, theta)
 		if err != nil {
-			panic(err) // validated in normalize
+			panic(err) // checked above
 		}
 		return c
-	}
+	}, nil
+}
 
-	if s.Backend == "ps" {
-		fabric := netsim.InfiniBandFDR
-		cfg := ps.Config{
-			Workers:       s.Workers,
-			Batch:         s.Batch,
-			Epochs:        s.Epochs,
-			Seed:          s.Seed,
-			Momentum:      s.Momentum,
-			LR:            optim.ConstLR(s.LR),
-			Model:         modelFn,
-			Train:         train,
-			Test:          test,
-			NewCompressor: newComp,
-			Async:         s.Async,
-			Fabric:        &fabric,
-		}
-		return cfg.NewJob(), nil
+// Config compiles the job into a BSP training config — dataset, model,
+// codec factory, and the collective, guard and fault/chaos layers — and
+// validates it. It fills no defaults: a zero field reaches the config as
+// zero. On the fault path the dead-rank policy is left to the caller
+// (Fault.Cluster.Policy; the cluster default is fail-fast).
+func (s *Spec) Config() (dist.Config, error) {
+	newComp, err := s.codec()
+	if err != nil {
+		return dist.Config{}, err
 	}
-
+	train, test, model, err := s.workload()
+	if err != nil {
+		return dist.Config{}, err
+	}
 	cfg := dist.Config{
 		Workers:       s.Workers,
 		Batch:         s.Batch,
@@ -275,7 +263,7 @@ func (s *Spec) buildJob() (dist.Job, error) {
 		Momentum:      s.Momentum,
 		LR:            optim.ConstLR(s.LR),
 		SyncEvery:     s.SyncEvery,
-		Model:         modelFn,
+		Model:         model,
 		Train:         train,
 		Test:          test,
 		NewCompressor: newComp,
@@ -286,8 +274,10 @@ func (s *Spec) buildJob() (dist.Job, error) {
 		cfg.Guard = &guard.Config{CRC: true, Scrub: guard.ScrubClamp, Detect: true, DriftEvery: 50}
 	}
 	if s.faultPath() {
-		// Service-speed cluster tuning: tight heartbeats so failure
-		// detection and rejoin complete within a short job's lifetime.
+		// One cluster tuning for every in-process fault-path job: tight
+		// heartbeats so failure detection and rejoin complete within a
+		// short job, and deadlines long enough that a loaded machine's
+		// scheduling delays are not mistaken for failures.
 		cfg.Fault = &dist.FaultConfig{
 			Cluster: cluster.Config{
 				Heartbeat:    2 * time.Millisecond,
@@ -297,7 +287,6 @@ func (s *Spec) buildJob() (dist.Job, error) {
 				MaxRetries:   8,
 				MaxStall:     30 * time.Second,
 				RejoinWait:   30 * time.Second,
-				Policy:       cluster.StaleReuse,
 				OnStraggler:  cluster.StragglerWait,
 				Seed:         s.Seed,
 			},
@@ -313,18 +302,53 @@ func (s *Spec) buildJob() (dist.Job, error) {
 				Delay:     time.Duration(c.DelayMS) * time.Millisecond,
 			}
 			if c.CrashRank != nil {
-				at := c.CrashAtOp
-				if at == 0 {
-					at = 1200
-				}
-				rec := c.RecoverAfterOps
-				if rec == 0 {
-					rec = 1000
-				}
-				cc.Crashes = []chaos.CrashEvent{{Rank: *c.CrashRank, AtOp: at, RecoverAfterOps: rec}}
+				cc.Crashes = []chaos.CrashEvent{{Rank: *c.CrashRank, AtOp: c.CrashAtOp, RecoverAfterOps: c.RecoverAfterOps}}
 			}
 			cfg.Fault.Chaos = cc
 		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return dist.Config{}, err
+	}
+	return cfg, nil
+}
+
+// buildJob compiles a normalized submission into a runnable dist.Job on
+// its backend.
+func (s *Spec) buildJob() (dist.Job, error) {
+	if s.Backend == "ps" {
+		newComp, err := s.codec()
+		if err != nil {
+			return nil, err
+		}
+		train, test, model, err := s.workload()
+		if err != nil {
+			return nil, err
+		}
+		fabric := netsim.InfiniBandFDR
+		cfg := ps.Config{
+			Workers:       s.Workers,
+			Batch:         s.Batch,
+			Epochs:        s.Epochs,
+			Seed:          s.Seed,
+			Momentum:      s.Momentum,
+			LR:            optim.ConstLR(s.LR),
+			Model:         model,
+			Train:         train,
+			Test:          test,
+			NewCompressor: newComp,
+			Async:         s.Async,
+			Fabric:        &fabric,
+		}
+		return cfg.NewJob(), nil
+	}
+	cfg, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Fault != nil {
+		// A service job rides out a dead rank on its last gradient.
+		cfg.Fault.Cluster.Policy = cluster.StaleReuse
 	}
 	return cfg.NewJob(), nil
 }
